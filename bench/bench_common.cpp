@@ -1,6 +1,7 @@
 #include "bench_common.h"
 
 #include <algorithm>
+#include <cstdlib>
 #include <iostream>
 #include <map>
 
@@ -51,9 +52,11 @@ BenchOptions parse_options(const CliFlags& flags) {
       static_cast<std::size_t>(flags.get_int("checkpoint-retain", 3));
   options.resume = flags.get_bool("resume", false);
   options.quick = flags.get_bool("quick", false);
-  for (const auto& name : flags.unused()) {
-    log_warn() << "ignoring unknown flag --" << name;
+  const std::vector<std::string> unknown = flags.unused();
+  for (const auto& name : unknown) {
+    std::cerr << "error: unknown flag --" << name << "\n";
   }
+  if (!unknown.empty()) std::exit(2);
   if (options.quick) {
     options.scale = std::min(options.scale, 0.1);
   }

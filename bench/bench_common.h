@@ -78,9 +78,11 @@ struct BenchOptions {
   bool quick = false;
 };
 
-// Parses the shared flags; warns about unknown ones. Drivers with extra
-// flags should read them from their own CliFlags first, then hand it to
-// the CliFlags& overload so those reads suppress the unknown-flag warning.
+// Parses the shared flags. An unknown flag (a typo such as
+// --checkpoint-evry) is fatal: its name goes to stderr and the process
+// exits with status 2. Drivers with extra flags must read them from
+// their own CliFlags first, then hand it to the CliFlags& overload, so
+// those flags count as known.
 BenchOptions parse_options(int argc, char** argv);
 BenchOptions parse_options(const CliFlags& flags);
 

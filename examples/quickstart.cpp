@@ -1,7 +1,7 @@
 // Quickstart: train FedProx on the paper's Synthetic(1,1) dataset and
 // watch the global loss fall.
 //
-//   ./quickstart [--rounds 50] [--mu 1.0] [--stragglers 0.5]
+//   ./quickstart [--rounds 50] [--mu 1.0] [--stragglers 0.5] [--seed 1]
 //                [--transport inprocess|serialized] [--shards N]
 //                [--faults drop=0.1,corrupt=0.01,delay_ms=50]
 //                [--retries 2] [--deadline-ms 0] [--quorum 1.0]
@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
   CliFlags flags(argc, argv);
 
   // Quickstart-specific flags, read before parse_options so the shared
-  // parser's unknown-flag warning stays quiet about them.
+  // parser, which rejects unknown flags, counts them as known.
   const double mu = flags.get_double("mu", 1.0);
   const auto rounds = static_cast<std::size_t>(flags.get_int("rounds", 50));
   const double stragglers = flags.get_double("stragglers", 0.5);
@@ -77,6 +77,9 @@ int main(int argc, char** argv) {
   config.systems.straggler_fraction = stragglers;
   config.learning_rate = workload.learning_rate;
   config.eval_every = 5;
+  // --seed drives sampling, budgets and minibatches; the dataset above
+  // stays fixed.
+  config.seed = options.seed;
   bench::apply_common_flags(config, options);
   std::cout << "transport: " << config.transport->name() << "\n";
   if (config.shards > 1) {

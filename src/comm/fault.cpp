@@ -140,11 +140,7 @@ ExchangeRecord FaultInjectingTransport::exchange(
     // yields nothing; the local solve never runs. A retry re-solves with
     // the same (seed, round, device) minibatch stream, so recovered
     // exchanges stay bit-identical to never-faulted ones.
-    ExchangeRecord record;
-    record.status = ExchangeStatus::kDropped;
-    record.bytes_down = broadcast_wire_size(broadcast);
-    record.channel_delay_ms = delay;
-    return record;
+    return lost_in_flight(broadcast, delay);
   }
 
   ExchangeRecord record = inner_->exchange(broadcast, client);

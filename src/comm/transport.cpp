@@ -8,6 +8,15 @@
 
 namespace fed {
 
+ExchangeRecord lost_in_flight(const ModelBroadcast& broadcast,
+                              double channel_delay_ms) {
+  ExchangeRecord record;
+  record.status = ExchangeStatus::kDropped;
+  record.bytes_down = broadcast_wire_size(broadcast);
+  record.channel_delay_ms = channel_delay_ms;
+  return record;
+}
+
 ExchangeRecord InProcessTransport::exchange(const ModelBroadcast& broadcast,
                                             const ClientRuntime& client) const {
   ExchangeRecord record;

@@ -55,6 +55,13 @@ struct ExchangeRecord {
   const ClientResult& result() const { return update.result; }
 };
 
+// An attempt lost in flight: the broadcast went out, so its wire bytes
+// are charged, but no update came back and no local solve ran. The
+// fault decorator's drop path and a device departing mid-round both
+// end their attempts this way.
+ExchangeRecord lost_in_flight(const ModelBroadcast& broadcast,
+                              double channel_delay_ms = 0.0);
+
 class Transport {
  public:
   virtual ~Transport() = default;

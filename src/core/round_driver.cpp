@@ -53,24 +53,29 @@ void RoundDriver::evaluate(const Vector& w, RoundMetrics& metrics,
 }
 
 RoundDriver::DeviceOutcome RoundDriver::exchange_with_recovery(
-    ModelBroadcast& broadcast, std::size_t round, std::size_t device) const {
+    ModelBroadcast& broadcast, std::size_t round, std::size_t device,
+    bool departing) const {
   const RecoveryConfig& recovery = config_.recovery;
   DeviceOutcome oc;
+  if (departing) {
+    oc.events.push_back({FaultEvent::Kind::kDepart, round, device, 0,
+                         "device left the federation mid-round"});
+  }
   double backoff = recovery.backoff_base_ms;
   for (std::size_t attempt = 0; attempt <= recovery.max_retries; ++attempt) {
     broadcast.attempt = attempt;
-    ExchangeRecord record = transport_.exchange(broadcast, runtime_);
+    ExchangeRecord record = departing
+                                ? lost_in_flight(broadcast)
+                                : transport_.exchange(broadcast, runtime_);
     ++oc.attempts;
     oc.bytes_down += record.bytes_down;
     oc.arrival_ms += record.channel_delay_ms;
     switch (record.status) {
       case ExchangeStatus::kDropped:
-        ++oc.drops;
         oc.events.push_back({FaultEvent::Kind::kDrop, round, device, attempt,
                              "update lost in flight"});
         break;
       case ExchangeStatus::kCorrupt:
-        ++oc.corruptions;
         oc.failed_bytes_up += record.bytes_up;
         oc.events.push_back({FaultEvent::Kind::kCorrupt, round, device,
                              attempt, record.error});
@@ -80,7 +85,6 @@ RoundDriver::DeviceOutcome RoundDriver::exchange_with_recovery(
             record.channel_delay_ms > recovery.deadline_ms) {
           // Arrived past the round window: the server never saw it, so it
           // moves no measured bytes (the FedAvg dropped-straggler rule).
-          ++oc.timeouts;
           std::ostringstream detail;
           detail << "delivery took " << record.channel_delay_ms
                  << " ms, past the " << recovery.deadline_ms
@@ -110,36 +114,6 @@ RoundDriver::DeviceOutcome RoundDriver::exchange_with_recovery(
   return oc;
 }
 
-RoundDriver::DeviceOutcome RoundDriver::departed_outcome(
-    const ModelBroadcast& broadcast, std::size_t round,
-    std::size_t device) const {
-  const RecoveryConfig& recovery = config_.recovery;
-  const auto per_attempt =
-      static_cast<std::uint64_t>(broadcast_wire_size(broadcast));
-  DeviceOutcome oc;
-  oc.departed = true;
-  oc.events.push_back({FaultEvent::Kind::kDepart, round, device, 0,
-                       "device left the federation mid-round"});
-  double backoff = recovery.backoff_base_ms;
-  for (std::size_t attempt = 0; attempt <= recovery.max_retries; ++attempt) {
-    ++oc.attempts;
-    ++oc.drops;
-    oc.bytes_down += per_attempt;
-    oc.events.push_back({FaultEvent::Kind::kDrop, round, device, attempt,
-                         "device departed; update lost in flight"});
-    if (attempt < recovery.max_retries) {
-      oc.arrival_ms += backoff;
-      backoff *= recovery.backoff_factor;
-    }
-  }
-  std::ostringstream detail;
-  detail << "no accepted update after " << oc.attempts
-         << " attempts (device departed)";
-  oc.events.push_back({FaultEvent::Kind::kDeviceFailed, round, device,
-                       oc.attempts, detail.str()});
-  return oc;
-}
-
 RoundDriver::RoundOutput RoundDriver::run_round(std::size_t t, double mu,
                                                 Vector& w) {
   RoundOutput out;
@@ -155,8 +129,8 @@ RoundDriver::RoundOutput RoundDriver::run_round(std::size_t t, double mu,
 
   // 0. Churn: draw this round's arrivals and departures. Arrivals are
   //    selectable immediately; departing devices stay selectable but fail
-  //    mid-round (departed_outcome). With an inert registry everything
-  //    below reduces to the closed-world path bit for bit.
+  //    mid-round (exchange_with_recovery). With an inert registry
+  //    everything below reduces to the closed-world path bit for bit.
   const bool open_world = registry_ != nullptr && registry_->config().any();
   std::uint64_t arrivals_before = 0;
   if (open_world) {
@@ -260,14 +234,9 @@ RoundDriver::RoundOutput RoundDriver::run_round(std::size_t t, double mu,
                                .parameters = w,
                                .correction = {}};
       if (!corrections.empty()) broadcast.correction = corrections[i];
-      if (open_world && registry_->departing(selected[i])) {
-        // The device left between selection and its exchange: nothing
-        // touches the transport (so fault streams for other devices are
-        // unperturbed), but every attempt's broadcast is charged and lost.
-        outcomes[i] = departed_outcome(broadcast, t + 1, selected[i]);
-      } else {
-        outcomes[i] = exchange_with_recovery(broadcast, t + 1, selected[i]);
-      }
+      const bool departing = open_world && registry_->departing(selected[i]);
+      outcomes[i] =
+          exchange_with_recovery(broadcast, t + 1, selected[i], departing);
       if (outcomes[i].accepted) {
         // The update's journey to aggregation: starts in the worker that
         // produced it, lands in the round thread's aggregate span (which
@@ -318,11 +287,15 @@ RoundDriver::RoundOutput RoundDriver::run_round(std::size_t t, double mu,
 
   // Fault fan-out: per-device incidents in (selection order, attempt)
   // order — quorum drops ride at the end of their device's list — all on
-  // the round thread. A healthy round emits nothing.
+  // the round thread. A healthy round emits nothing. Every event fanned
+  // out is also folded into the trace, so the trace's incident columns
+  // are the events, counted.
+  const auto report = [&](const FaultEvent& event) {
+    count_fault(trace, event);
+    for (auto* o : observers_) o->on_fault(event);
+  };
   for (const auto& oc : outcomes) {
-    for (const auto& event : oc.events) {
-      for (auto* o : observers_) o->on_fault(event);
-    }
+    for (const auto& event : oc.events) report(event);
   }
 
   for (auto* o : observers_) {
@@ -405,13 +378,10 @@ RoundDriver::RoundOutput RoundDriver::run_round(std::size_t t, double mu,
     // straggled). The global model is kept unchanged; the round is marked
     // degraded in the trace and reported as a single typed incident, not
     // an error.
-    trace.degraded = true;
     std::ostringstream detail;
     detail << "0 of " << selected.size()
            << " selected devices contributed an update; keeping w";
-    const FaultEvent event{FaultEvent::Kind::kRoundDegraded, t + 1, 0, 0,
-                           detail.str()};
-    for (auto* o : observers_) o->on_fault(event);
+    report({FaultEvent::Kind::kRoundDegraded, t + 1, 0, 0, detail.str()});
     log_debug() << "round " << t + 1 << ": " << detail.str();
   }
 
@@ -430,14 +400,7 @@ RoundDriver::RoundOutput RoundDriver::run_round(std::size_t t, double mu,
     bytes_up += oc.failed_bytes_up;  // corrupt arrivals, charged per attempt
     shard_stats[shard_of[i]].bytes_up += oc.failed_bytes_up;
     faults.attempts += oc.attempts;
-    faults.drops += oc.drops;
-    faults.corruptions += oc.corruptions;
-    faults.timeouts += oc.timeouts;
     faults.delay_ms += oc.arrival_ms;
-    if (oc.accepted && oc.record.duplicate) ++faults.duplicates;
-    if (oc.quorum_dropped) ++faults.quorum_drops;
-    if (!oc.accepted && !oc.quorum_dropped) ++faults.failed_devices;
-    if (oc.departed) ++faults.departs;
   }
   faults.retries = faults.attempts - selected.size();
   // Charged deliveries: contributor updates (twice when duplicated) plus
@@ -445,14 +408,12 @@ RoundDriver::RoundOutput RoundDriver::run_round(std::size_t t, double mu,
   faults.up_deliveries = up_deliveries + faults.corruptions;
   trace.bytes_up = bytes_up;
   trace.shards = std::move(shard_stats);
-  {
-    std::vector<double> solve_times;
-    solve_times.reserve(outcomes.size());
-    for (const auto& oc : outcomes) {
-      if (oc.accepted) solve_times.push_back(oc.record.result().solve_seconds);
+  for (const auto& oc : outcomes) {
+    if (oc.accepted) {
+      trace.client_solve_seconds.push_back(oc.record.result().solve_seconds);
     }
-    trace.solve = SolveStats::from_samples(solve_times);
   }
+  trace.solve = SolveStats::from_samples(trace.client_solve_seconds);
 
   // 6. Record metrics (evaluation, if due, is the caller's).
   RoundMetrics& m = out.metrics;

@@ -52,40 +52,32 @@ class RoundDriver {
 
  private:
   // One device's journey through the recovery policy: the accepted
-  // exchange (when any attempt succeeded), per-attempt failure counts,
-  // byte charges, the simulated clock, and the typed incidents to fan
-  // out. Filled by exactly one pool worker, read after the barrier.
+  // exchange (when any attempt succeeded), byte charges, the simulated
+  // clock, and the typed incidents to fan out (the trace counts them by
+  // folding `events`). Filled by exactly one pool worker, read after the
+  // barrier.
   struct DeviceOutcome {
     ExchangeRecord record;   // the accepted exchange; meaningful iff accepted
     bool accepted = false;
     bool quorum_dropped = false;        // revoked by the quorum cut
     std::size_t attempts = 0;
-    std::size_t drops = 0;
-    std::size_t corruptions = 0;
-    std::size_t timeouts = 0;
     std::uint64_t bytes_down = 0;       // broadcast bytes, charged per attempt
     std::uint64_t failed_bytes_up = 0;  // corrupt arrivals, charged per attempt
-    bool departed = false;              // device left the federation mid-round
     double arrival_ms = 0.0;  // simulated delays + backoffs through last attempt
     std::vector<FaultEvent> events;     // in attempt order
   };
 
   // Runs the exchange for one device under config_.recovery: retry failed
   // attempts (drop / corrupt / past-deadline) with simulated exponential
-  // backoff, up to max_retries extra attempts. Mutates broadcast.attempt
-  // only. Called concurrently from pool workers; everything it touches is
-  // worker-local.
+  // backoff, up to max_retries extra attempts. A `departing` device (it
+  // left the federation mid-round) never touches the transport: each
+  // attempt is lost in flight with its broadcast bytes charged, like a
+  // crashed phone, so it runs the same retry and failure accounting as
+  // any other device. Mutates broadcast.attempt only. Called concurrently
+  // from pool workers; everything it touches is worker-local.
   DeviceOutcome exchange_with_recovery(ModelBroadcast& broadcast,
-                                       std::size_t round,
-                                       std::size_t device) const;
-
-  // The churn analogue of total exchange failure: a departing device
-  // never touches the transport — every attempt's broadcast bytes are
-  // charged and lost (a crashed phone mid-exchange), so the outcome
-  // folds into the existing failed-device/straggler accounting and all
-  // byte/retry invariants hold unchanged.
-  DeviceOutcome departed_outcome(const ModelBroadcast& broadcast,
-                                 std::size_t round, std::size_t device) const;
+                                       std::size_t round, std::size_t device,
+                                       bool departing) const;
 
   const Model& model_;
   const FederatedDataset& data_;

@@ -292,8 +292,8 @@ MetricsObserver::MetricsObserver(MetricsRegistry& registry)
       checkpoint_generations_(registry.gauge("fed_checkpoint_generations")),
       round_seconds_(registry.histogram("fed_round_seconds")),
       solve_seconds_(registry.histogram("fed_client_solve_seconds")) {
-  // Pre-register every fault kind so on_fault is a lock-free add and the
-  // exposition shows explicit zeros for kinds that never fired.
+  // Pre-register every fault kind so the per-round fold is a lock-free
+  // add and the exposition shows explicit zeros for kinds that never fired.
   for (std::size_t k = 0; k < kFaultKinds; ++k) {
     const auto kind = static_cast<FaultEvent::Kind>(k);
     faults_by_kind_[k] =
@@ -340,33 +340,17 @@ MetricsObserver::MetricsObserver(MetricsRegistry& registry)
                     "Wall seconds per client local solve.");
 }
 
-void MetricsObserver::on_fault(const FaultEvent& event) {
-  // Buffered, not committed: a round the server never finishes must not
-  // leak partial counts into the registry (see the class comment).
-  const auto k = static_cast<std::size_t>(event.kind);
-  if (k < kFaultKinds) ++pending_.faults[k];
-}
-
-void MetricsObserver::on_client_result(std::size_t round,
-                                       const ClientResult& result) {
-  (void)round;
-  ++pending_.clients;
-  if (result.straggler) ++pending_.stragglers;
-  pending_.solve_seconds.push_back(result.solve_seconds);
-}
-
 void MetricsObserver::on_round_end(const RoundMetrics& metrics,
                                    const RoundTrace& trace) {
-  // Commit the round's buffered observations together with its
-  // trace-derived counters — one atomic-enough unit per completed round.
   for (std::size_t k = 0; k < kFaultKinds; ++k) {
-    if (pending_.faults[k]) faults_by_kind_[k]->add(pending_.faults[k]);
+    const std::size_t n = fault_count(trace, static_cast<FaultEvent::Kind>(k));
+    if (n) faults_by_kind_[k]->add(n);
   }
-  clients_.add(pending_.clients);
-  stragglers_.add(pending_.stragglers);
-  for (double s : pending_.solve_seconds) solve_seconds_.observe(s);
-  pending_ = PendingRound{};
-
+  clients_.add(trace.solve.count);
+  stragglers_.add(trace.stragglers);
+  for (double seconds : trace.client_solve_seconds) {
+    solve_seconds_.observe(seconds);
+  }
   rounds_.add();
   bytes_up_.add(trace.bytes_up);
   bytes_down_.add(trace.bytes_down);

@@ -13,8 +13,9 @@
 // sets (the Prometheus data model); obs/exposition.h renders a registry
 // as Prometheus text format 0.0.4 for external scrapers.
 //
-// MetricsObserver feeds the registry from the Trainer's observer hooks
-// (rounds, client solves, stragglers, bytes moved, phase durations).
+// MetricsObserver feeds the registry from each finished round's
+// RoundTrace (rounds, client solves, stragglers, bytes moved, faults,
+// phase durations).
 
 #pragma once
 
@@ -200,7 +201,9 @@ class MetricsRegistry {
 std::string metric_selector(const std::string& name,
                             const MetricLabels& labels);
 
-// Feeds a MetricsRegistry from the observer hooks. Instrument names:
+// A pure fold over RoundTrace: on_round_end adds each finished round's
+// trace (and RoundMetrics gauges) to the registry, and no other hook is
+// used. Instrument names:
 //   counters   fed_rounds_total, fed_clients_total, fed_stragglers_total,
 //              fed_comm_bytes_up_total, fed_comm_bytes_down_total,
 //              fed_comm_faults_total{kind=...} (one member per
@@ -215,20 +218,18 @@ std::string metric_selector(const std::string& name,
 //              fed_checkpoint_generations
 //   histograms fed_round_seconds, fed_client_solve_seconds
 //
-// Commit discipline: the mid-round hooks (on_fault, on_client_result)
-// only buffer into a per-round pending block; everything is committed to
-// the registry at on_round_end, atomically with the round's trace-fed
-// counters. A round the server never finishes — a crash mid-aggregation
-// (core/checkpoint.h) — therefore commits nothing, so exposition
-// counters always reconcile exactly with the summed per-round trace
-// lines, across crashes and resumes (trace_lint's cross-check relies on
-// this).
+// fed_comm_faults_total{kind} reads the trace's fault columns, which the
+// round driver folds from the same events on_fault delivers (and
+// `degraded` for kind="round_degraded"); fed_clients_total and
+// fed_stragglers_total count the accepted updates after the quorum cut.
+// Because the round's trace is the only input, a round the server never
+// finishes (a crash mid-aggregation, core/checkpoint.h) adds nothing,
+// and the exposition always reconciles with the summed JSONL trace
+// lines across crashes and resumes.
 class MetricsObserver final : public TrainingObserver {
  public:
   explicit MetricsObserver(MetricsRegistry& registry);
 
-  void on_fault(const FaultEvent& event) override;
-  void on_client_result(std::size_t round, const ClientResult& result) override;
   void on_round_end(const RoundMetrics& metrics,
                     const RoundTrace& trace) override;
 
@@ -258,15 +259,6 @@ class MetricsObserver final : public TrainingObserver {
   Gauge& checkpoint_generations_;
   Histogram& round_seconds_;
   Histogram& solve_seconds_;
-
-  // The current round's uncommitted observations (round thread only).
-  struct PendingRound {
-    std::array<std::uint64_t, kFaultKinds> faults{};
-    std::uint64_t clients = 0;
-    std::uint64_t stragglers = 0;
-    std::vector<double> solve_seconds;
-  };
-  PendingRound pending_;
 };
 
 // Snapshots a pool's per-worker counters into utilization gauges:

@@ -4,6 +4,39 @@
 
 namespace fed {
 
+namespace {
+
+// The CommFaultStats column counting `kind`; null for kRoundDegraded.
+std::size_t CommFaultStats::*fault_column(FaultEvent::Kind kind) {
+  switch (kind) {
+    case FaultEvent::Kind::kDrop: return &CommFaultStats::drops;
+    case FaultEvent::Kind::kCorrupt: return &CommFaultStats::corruptions;
+    case FaultEvent::Kind::kTimeout: return &CommFaultStats::timeouts;
+    case FaultEvent::Kind::kDuplicate: return &CommFaultStats::duplicates;
+    case FaultEvent::Kind::kDeviceFailed:
+      return &CommFaultStats::failed_devices;
+    case FaultEvent::Kind::kQuorumDrop: return &CommFaultStats::quorum_drops;
+    case FaultEvent::Kind::kDepart: return &CommFaultStats::departs;
+    case FaultEvent::Kind::kRoundDegraded: return nullptr;
+  }
+  return nullptr;
+}
+
+}  // namespace
+
+void count_fault(RoundTrace& trace, const FaultEvent& event) {
+  if (const auto column = fault_column(event.kind)) {
+    ++(trace.faults.*column);
+  } else {
+    trace.degraded = true;
+  }
+}
+
+std::size_t fault_count(const RoundTrace& trace, FaultEvent::Kind kind) {
+  const auto column = fault_column(kind);
+  return column ? trace.faults.*column : std::size_t{trace.degraded};
+}
+
 SolveStats SolveStats::from_samples(std::span<const double> seconds) {
   SolveStats s;
   s.count = seconds.size();

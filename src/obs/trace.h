@@ -16,6 +16,7 @@
 #include <span>
 #include <vector>
 
+#include "comm/fault.h"
 #include "support/json.h"
 
 namespace fed {
@@ -33,14 +34,17 @@ struct SolveStats {
 
 // Channel fault and recovery accounting for one round (comm/fault.h).
 // All counts are zero on a faultless channel, where attempts == selected
-// and up_deliveries == contributors — the pre-fault invariants.
+// and up_deliveries == contributors — the pre-fault invariants. The
+// per-kind incident columns are a fold over the round's FaultEvents
+// (count_fault below), so they equal what on_fault delivered.
 struct CommFaultStats {
   std::size_t attempts = 0;       // transport exchange attempts
   std::size_t retries = 0;        // attempts beyond each device's first
   std::size_t drops = 0;          // attempts whose update was lost
   std::size_t corruptions = 0;    // attempts rejected as corrupt
   std::size_t timeouts = 0;       // attempts past the delivery deadline
-  std::size_t duplicates = 0;     // accepted updates delivered twice
+  std::size_t duplicates = 0;     // updates delivered twice, incl. ones the
+                                  // quorum cut later dropped
   std::size_t quorum_drops = 0;   // successes after the quorum cutoff
   std::size_t departs = 0;        // selected devices that left mid-round
   std::size_t failed_devices = 0; // selected devices with no accepted update
@@ -96,6 +100,8 @@ struct RoundTrace {
   double sampling_seconds = 0.0;    // device selection + budget assignment
   double correction_seconds = 0.0;  // FedDane gradient estimate (else 0)
   SolveStats solve;                 // per-client solve times (worker-local)
+  std::vector<double> client_solve_seconds;  // the samples behind `solve`,
+                                             // selection order; not in JSONL
   double solve_wall_seconds = 0.0;  // the parallel_for, as the round saw it
   double aggregate_seconds = 0.0;   // contribution filtering + weighted sum
   double eval_seconds = 0.0;        // global eval (+ dissimilarity); 0 if skipped
@@ -108,6 +114,14 @@ struct RoundTrace {
   std::uint64_t bytes_down = 0;  // broadcast bytes, over selected devices
   std::uint64_t bytes_up = 0;    // update bytes, over contributors only
 };
+
+// Folds one channel incident into the round's record: the one place a
+// FaultEvent::Kind picks its CommFaultStats column. kRoundDegraded has
+// no column; it sets `degraded`. The round driver folds exactly the
+// events it fans out through on_fault.
+void count_fault(RoundTrace& trace, const FaultEvent& event);
+// How many `kind` events were folded into `trace`.
+std::size_t fault_count(const RoundTrace& trace, FaultEvent::Kind kind);
 
 // Compact JSON object for one trace (the JSONL sink writes one per line).
 JsonValue trace_to_json(const RoundTrace& trace);

@@ -24,6 +24,15 @@ TEST_F(BenchCommonTest, ParseOptionsDefaults) {
   EXPECT_FALSE(options.quick);
 }
 
+TEST_F(BenchCommonTest, ParseOptionsRejectsUnknownFlags) {
+  // A typo must not silently turn a feature off: --checkpoint-evry would
+  // otherwise run to completion without writing a checkpoint.
+  const char* argv[] = {"prog", "--checkpoint-evry", "1"};
+  EXPECT_EXIT(parse_options(3, const_cast<char**>(argv)),
+              ::testing::ExitedWithCode(2),
+              "unknown flag --checkpoint-evry");
+}
+
 TEST_F(BenchCommonTest, QuickModeShrinksScale) {
   const char* argv[] = {"prog", "--quick", "--scale=0.5"};
   const BenchOptions options = parse_options(3, const_cast<char**>(argv));

@@ -246,6 +246,59 @@ TEST_F(CommFaultTest, ChaosSoakConvergesWithoutFatalIncidents) {
       corruptions);
   EXPECT_EQ(registry.counter("fed_comm_retries_total").value(), retries);
 
+  // Every FaultEvent kind, not just drop and corrupt: the events fanned
+  // out to observers, the trace columns, and the registry counters
+  // count the same incidents. The churned rerun adds mid-round
+  // departures, the one kind the chaos channel alone never produces.
+  const auto expect_every_kind_reconciles = [](const RunArtifacts& artifacts,
+                                               MetricsRegistry& reg) {
+    const auto trace_total = [&](FaultEvent::Kind kind) {
+      std::size_t total = 0;
+      for (const RoundTrace& t : artifacts.traces) {
+        const CommFaultStats& f = t.faults;
+        switch (kind) {
+          case FaultEvent::Kind::kDrop: total += f.drops; break;
+          case FaultEvent::Kind::kCorrupt: total += f.corruptions; break;
+          case FaultEvent::Kind::kTimeout: total += f.timeouts; break;
+          case FaultEvent::Kind::kDuplicate: total += f.duplicates; break;
+          case FaultEvent::Kind::kDeviceFailed:
+            total += f.failed_devices;
+            break;
+          case FaultEvent::Kind::kQuorumDrop: total += f.quorum_drops; break;
+          case FaultEvent::Kind::kDepart: total += f.departs; break;
+          case FaultEvent::Kind::kRoundDegraded:
+            total += t.degraded ? 1 : 0;
+            break;
+        }
+      }
+      return total;
+    };
+    constexpr auto kLast = static_cast<int>(FaultEvent::Kind::kRoundDegraded);
+    for (int k = 0; k <= kLast; ++k) {
+      const auto kind = static_cast<FaultEvent::Kind>(k);
+      SCOPED_TRACE(to_string(kind));
+      const auto it = artifacts.events.find(kind);
+      const std::size_t events =
+          it == artifacts.events.end() ? 0 : it->second;
+      EXPECT_EQ(events, trace_total(kind));
+      EXPECT_EQ(
+          reg.counter("fed_comm_faults_total", {{"kind", to_string(kind)}})
+              .value(),
+          events);
+    }
+  };
+  expect_every_kind_reconciles(a, registry);
+  EXPECT_GT(event_count(FaultEvent::Kind::kDuplicate), 0u);
+  EXPECT_GT(event_count(FaultEvent::Kind::kQuorumDrop), 0u);
+
+  TrainerConfig churned = chaos_config();
+  churned.churn.arrive = 0.3;
+  churned.churn.depart = 0.3;
+  MetricsRegistry churned_registry;
+  const RunArtifacts d = run(churned, &churned_registry);
+  EXPECT_TRUE(d.events.contains(FaultEvent::Kind::kDepart));
+  expect_every_kind_reconciles(d, churned_registry);
+
   // Bit-reproducible: an identical config replays the identical run.
   const RunArtifacts b = run(chaos_config());
   expect_bit_identical(a.history, b.history);

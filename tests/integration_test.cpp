@@ -6,6 +6,7 @@
 #include "core/registry.h"
 #include "core/trainer.h"
 #include "support/log.h"
+#include "test_util.h"
 
 namespace fed {
 namespace {
@@ -125,7 +126,8 @@ TEST_F(IntegrationTest, HistoryCsvRoundTrip) {
   c.rounds = 3;
   std::vector<VariantSpec> specs{{"FedProx (mu=0)", c}};
   auto results = run_variants(w, specs, /*verbose=*/false);
-  CsvWriter csv("/tmp/fedprox_integration_test.csv", history_csv_header());
+  const testing::ScopedTempDir tmp;
+  CsvWriter csv(tmp.file("history.csv"), history_csv_header());
   append_history_csv(csv, w.name, results);
   SUCCEED();
 }

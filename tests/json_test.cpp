@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
+#include "test_util.h"
 
 namespace fed {
 namespace {
@@ -78,17 +78,18 @@ TEST(Json, RejectsNonFiniteNumbers) {
 }
 
 TEST(Json, FileRoundTrip) {
-  const std::string path = "/tmp/fedprox_json_test/doc.json";
+  const testing::ScopedTempDir tmp;
+  const std::string path = tmp.file("json/doc.json");
   JsonObject root;
   root["k"] = JsonValue(JsonArray{JsonValue(1.0), JsonValue("two")});
   save_json_file(path, JsonValue(root));
   const JsonValue loaded = load_json_file(path);
   EXPECT_EQ(loaded.at("k").as_array()[1].as_string(), "two");
-  std::filesystem::remove_all("/tmp/fedprox_json_test");
 }
 
 TEST(Json, MissingFileThrows) {
-  EXPECT_THROW(load_json_file("/tmp/definitely_missing_9f2.json"),
+  const testing::ScopedTempDir tmp;
+  EXPECT_THROW(load_json_file(tmp.file("missing.json")),
                std::runtime_error);
 }
 

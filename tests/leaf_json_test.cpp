@@ -2,21 +2,19 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
-
 #include "data/sequence.h"
 #include "data/synthetic.h"
 #include "support/json.h"
+#include "test_util.h"
 
 namespace fed {
 namespace {
 
 class LeafJsonTest : public ::testing::Test {
  protected:
-  void TearDown() override {
-    std::filesystem::remove_all("/tmp/fedprox_leaf_test");
-  }
-  const std::string prefix = "/tmp/fedprox_leaf_test/data";
+  const testing::ScopedTempDir tmp;
+  // export_leaf creates the missing "leaf" directory itself.
+  const std::string prefix = tmp.file("leaf/data");
 };
 
 TEST_F(LeafJsonTest, DenseRoundTripIsExact) {
@@ -103,7 +101,7 @@ TEST_F(LeafJsonTest, ImportValidatesLabels) {
 }
 
 TEST_F(LeafJsonTest, MissingMetadataThrows) {
-  EXPECT_THROW(import_leaf("/tmp/fedprox_leaf_test/nothing"),
+  EXPECT_THROW(import_leaf(tmp.file("leaf/nothing")),
                std::runtime_error);
 }
 

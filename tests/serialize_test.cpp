@@ -7,15 +7,16 @@
 #include <filesystem>
 #include <fstream>
 
+#include "test_util.h"
+
 namespace fed {
 namespace {
 
 class SerializeTest : public ::testing::Test {
  protected:
-  void TearDown() override {
-    std::filesystem::remove_all("/tmp/fedprox_serialize_test");
-  }
-  const std::string dir = "/tmp/fedprox_serialize_test";
+  const testing::ScopedTempDir tmp;
+  // Not created up front: the writers must create it themselves.
+  const std::string dir = tmp.file("serialize");
 };
 
 TEST_F(SerializeTest, CheckpointRoundTripsExactly) {

@@ -1,13 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <filesystem>
 #include <fstream>
 
 #include "support/cli.h"
 #include "support/csv.h"
 #include "support/log.h"
 #include "support/threadpool.h"
+#include "test_util.h"
 
 namespace fed {
 namespace {
@@ -61,7 +61,8 @@ TEST(CliFlags, NegativeNumberAsValue) {
 // ---- CSV ----
 
 TEST(Csv, WritesHeaderAndRows) {
-  const std::string path = "/tmp/fedprox_test_csv/out.csv";
+  const testing::ScopedTempDir tmp;
+  const std::string path = tmp.file("csv/out.csv");
   {
     CsvWriter csv(path, {"a", "b"});
     csv.write_row({"1", "x,y"});
@@ -75,17 +76,17 @@ TEST(Csv, WritesHeaderAndRows) {
   EXPECT_EQ(line, "1,\"x,y\"");  // comma cell gets quoted
   std::getline(in, line);
   EXPECT_EQ(line, "2.5,3");
-  std::filesystem::remove_all("/tmp/fedprox_test_csv");
 }
 
 TEST(Csv, RowWidthMismatchThrows) {
-  CsvWriter csv("/tmp/fedprox_test_csv2/out.csv", {"a", "b"});
+  const testing::ScopedTempDir tmp;
+  CsvWriter csv(tmp.file("csv/out.csv"), {"a", "b"});
   EXPECT_THROW(csv.write_row({"only-one"}), std::invalid_argument);
-  std::filesystem::remove_all("/tmp/fedprox_test_csv2");
 }
 
 TEST(Csv, EscapesQuotes) {
-  const std::string path = "/tmp/fedprox_test_csv3/out.csv";
+  const testing::ScopedTempDir tmp;
+  const std::string path = tmp.file("csv/out.csv");
   {
     CsvWriter csv(path, {"a"});
     csv.write_row({"say \"hi\""});
@@ -95,7 +96,6 @@ TEST(Csv, EscapesQuotes) {
   std::getline(in, line);  // header
   std::getline(in, line);
   EXPECT_EQ(line, "\"say \"\"hi\"\"\"");
-  std::filesystem::remove_all("/tmp/fedprox_test_csv3");
 }
 
 TEST(TablePrinterTest, AlignsColumns) {

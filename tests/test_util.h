@@ -2,14 +2,56 @@
 
 #pragma once
 
+#include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <cctype>
 #include <cmath>
+#include <filesystem>
 #include <memory>
+#include <string>
 
 #include "data/dataset.h"
 #include "nn/module.h"
 #include "tensor/ops.h"
 
 namespace fed::testing {
+
+// A fresh directory owned by the running test case, removed again when
+// the object goes out of scope. ctest runs every gtest case as its own
+// process, in parallel under -j, so two cases sharing one fixed path race:
+// one case's cleanup deletes the files the other is still reading. The
+// path is built from the suite name, the test name and the process id.
+// Create it inside the test body or as a fixture member.
+class ScopedTempDir {
+ public:
+  ScopedTempDir() {
+    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+    std::string name = std::string("fedprox_") + info->test_suite_name() +
+                       "_" + info->name() + "_" + std::to_string(::getpid());
+    for (char& ch : name) {
+      if (std::isalnum(static_cast<unsigned char>(ch)) == 0) ch = '_';
+    }
+    path_ = ::testing::TempDir() + name;
+    std::filesystem::remove_all(path_);
+    std::filesystem::create_directories(path_);
+  }
+  ~ScopedTempDir() {
+    std::error_code ignored;
+    std::filesystem::remove_all(path_, ignored);
+  }
+  ScopedTempDir(const ScopedTempDir&) = delete;
+  ScopedTempDir& operator=(const ScopedTempDir&) = delete;
+
+  const std::string& path() const { return path_; }
+  // `relative` under the directory, e.g. file("sub/out.csv").
+  std::string file(const std::string& relative) const {
+    return path_ + "/" + relative;
+  }
+
+ private:
+  std::string path_;
+};
 
 // Quadratic model: per-sample loss 0.5 ||w - x_i||^2 over dense rows x_i.
 // F(w) = 0.5 ||w - mean(x)||^2 + const, so minimizers, prox points and

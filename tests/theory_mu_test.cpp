@@ -12,6 +12,7 @@
 #include "nn/logistic.h"
 #include "support/log.h"
 #include "support/serialize.h"
+#include "test_util.h"
 
 namespace fed {
 namespace {
@@ -123,12 +124,13 @@ TEST_F(TheoryMuTrainerTest, CheckpointResumeIsBitExact) {
   first.rounds = 7;
   const auto part1 = Trainer(model, data(), first).run();
 
-  save_checkpoint("/tmp/fedprox_theory_mu_ckpt.bin", part1.final_parameters);
+  const testing::ScopedTempDir tmp;
+  save_checkpoint(tmp.file("ckpt.bin"), part1.final_parameters);
   TrainerConfig second = base();
   second.rounds = 5;
   second.first_round = 7;
   second.initial_parameters =
-      load_checkpoint("/tmp/fedprox_theory_mu_ckpt.bin");
+      load_checkpoint(tmp.file("ckpt.bin"));
   const auto part2 = Trainer(model, data(), second).run();
 
   EXPECT_EQ(reference.final_parameters, part2.final_parameters);
