@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
     push("gd", std::make_shared<GdSolver>(), w.learning_rate);
     // Adam needs a smaller step; its per-coordinate scaling is ~unit.
     push("adam", std::make_shared<AdamSolver>(), 0.003);
-    auto results = run_variants(w, specs);
+    auto results = run_variants(w, specs, options);
     std::cout << "\n--- " << w.name << " (mu=" << mu
               << "): training loss ---\n"
               << render_series(results, Metric::kTrainLoss);

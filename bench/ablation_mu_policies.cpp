@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
       c.theory_mu.coefficient = 0.05;
       specs.push_back({"theory (mu ~ B^2-1)", c});
     }
-    auto results = run_variants(w, specs);
+    auto results = run_variants(w, specs, options);
     std::cout << "\n--- " << w.name << ": training loss ---\n"
               << render_series(results, Metric::kTrainLoss)
               << "\n--- " << w.name << ": mu trajectory ---\n"

@@ -1,7 +1,6 @@
 #include "bench_common.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <iostream>
 #include <map>
 
@@ -52,11 +51,7 @@ BenchOptions parse_options(const CliFlags& flags) {
       static_cast<std::size_t>(flags.get_int("checkpoint-retain", 3));
   options.resume = flags.get_bool("resume", false);
   options.quick = flags.get_bool("quick", false);
-  const std::vector<std::string> unknown = flags.unused();
-  for (const auto& name : unknown) {
-    std::cerr << "error: unknown flag --" << name << "\n";
-  }
-  if (!unknown.empty()) std::exit(2);
+  flags.exit_on_unused();
   if (options.quick) {
     options.scale = std::min(options.scale, 0.1);
   }
@@ -178,6 +173,15 @@ TraceCapture::~TraceCapture() {
   write_chrome_trace(profile_out_);
   log_info() << "wrote span profile to " << profile_out_
              << " (open in chrome://tracing or ui.perfetto.dev)";
+}
+
+std::vector<VariantResult> run_variants(const Workload& workload,
+                                        const std::vector<VariantSpec>& specs,
+                                        const BenchOptions& options) {
+  static const TraceCapture capture(options);
+  RunVariantsOptions rv;
+  rv.observer = capture.observer();
+  return fed::run_variants(workload, specs, rv);
 }
 
 const char* metric_name(Metric metric) {

@@ -110,14 +110,13 @@ void apply_faults(TrainerConfig& config, const BenchOptions& options);
 // stack created from --metrics-out, and the span-profiler session
 // created from --profile-out (enables the profiler at construction,
 // drains it into a Chrome trace-event file at destruction). Keep it
-// alive for the whole driver run and pass observer() (nullptr when no
-// flag is set; a CompositeObserver when several are) to
-// RunVariantsOptions::observer:
+// alive for the whole driver run and attach observer() (nullptr when no
+// flag is set; a CompositeObserver when several are) to every Trainer:
 //
-//   TraceCapture trace(options);
-//   RunVariantsOptions rv;
-//   rv.observer = trace.observer();
-//   auto results = run_variants(workload, specs, rv);
+//   TraceCapture capture(options);
+//   if (capture.observer()) trainer.add_observer(*capture.observer());
+//
+// Drivers built on run_variants get this from the overload below.
 class TraceCapture {
  public:
   explicit TraceCapture(const BenchOptions& options);
@@ -126,11 +125,9 @@ class TraceCapture {
   TraceCapture& operator=(const TraceCapture&) = delete;
 
   TrainingObserver* observer() const;
-  // Non-null when --metrics-out is active (for end-of-run dumps).
-  MetricsRegistry* registry() const { return registry_.get(); }
 
  private:
-  std::unique_ptr<TraceSink> sink_;
+  std::unique_ptr<JsonlTraceSink> sink_;
   std::unique_ptr<TrainingObserver> tracer_;
   std::unique_ptr<MetricsRegistry> registry_;     // --metrics-out stack:
   std::unique_ptr<MetricsObserver> metrics_;      // feeder first,
@@ -138,6 +135,14 @@ class TraceCapture {
   std::unique_ptr<CompositeObserver> composite_;  // when several are live
   std::string profile_out_;  // empty = profiler not owned by this capture
 };
+
+// fed::run_variants with the driver's capture attached. The first call
+// builds one TraceCapture from `options` that lives until the process
+// exits, so every variant of every call lands in one JSONL trace, one
+// span profile and one exposition file.
+std::vector<VariantResult> run_variants(const Workload& workload,
+                                        const std::vector<VariantSpec>& specs,
+                                        const BenchOptions& options);
 
 // Renders one metric (selected by `metric`) of every variant against the
 // evaluated rounds, one column per variant — the paper's "series".

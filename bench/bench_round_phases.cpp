@@ -6,13 +6,17 @@
 // observers + span profiler, the Prometheus telemetry stack (metrics
 // feeder + file exporter, obs/exposition.h), and the serialized
 // transport (every broadcast/update round-trips the binary wire format)
-// — and writes BENCH_trainer_round.json with per-phase means, the
-// observer/profiler/telemetry/serialization overheads, the exact
-// transport-measured bytes moved per round, and the final registry dump
-// with full histogram buckets. The telemetry rep's history is checked
-// bit-identical against the baseline ("history_bit_identical"). The
-// JSONL trace lands next to the CSVs (override with --trace-out); pass
-// --profile-out to also keep one rep's Chrome trace.
+// — and writes BENCH_trainer_round.json with per-phase means, pool
+// utilization, the observer/profiler/telemetry/serialization overheads
+// and the exact transport-measured bytes moved per round. Pool
+// utilization is Σ client solve seconds ÷ (Σ solve wall seconds × pool
+// size) over the observed run's traces: the share of worker time the
+// stragglers' partial work keeps busy. The
+// telemetry rep's history is checked bit-identical against the baseline
+// ("history_bit_identical"); its registry is published as Prometheus
+// text next to the CSVs (override with --metrics-out). The JSONL trace
+// lands there too (override with --trace-out); pass --profile-out to
+// also keep one rep's Chrome trace.
 //
 //   ./bench_round_phases [--rounds 20] [--reps 3] [--stragglers 0.5]
 
@@ -36,9 +40,9 @@ using namespace fed;
 using namespace fed::bench;
 
 double run_once(const Workload& workload, const TrainerConfig& config,
-                TrainingObserver* observer, ThreadPool* pool = nullptr,
+                ThreadPool& pool, TrainingObserver* observer,
                 TrainHistory* history = nullptr) {
-  Trainer trainer(*workload.model, workload.data, config, pool);
+  Trainer trainer(*workload.model, workload.data, config, &pool);
   if (observer) trainer.add_observer(*observer);
   Stopwatch timer;
   TrainHistory h = trainer.run();
@@ -81,8 +85,10 @@ int main(int argc, char** argv) {
 
   // Warm-up (thread pool, page cache), then alternate baseline/observed
   // reps and keep the minimum of each — the standard way to strip
-  // scheduler noise from a wall-clock comparison.
-  run_once(workload, config, nullptr);
+  // scheduler noise from a wall-clock comparison. Every mode shares the
+  // one pool, whose size is the utilization denominator.
+  ThreadPool pool(config.threads);
+  run_once(workload, config, pool, nullptr);
 
   const std::string metrics_path =
       options.metrics_out.empty()
@@ -96,17 +102,16 @@ int main(int argc, char** argv) {
   double serialized = 0.0;
   std::size_t profiled_events = 0;
   bool history_identical = true;
-  JsonValue metrics_dump;
   TrainerConfig serialized_config = config;
   serialized_config.transport = make_transport(TransportKind::kSerialized);
+  std::vector<RoundTrace> traces;  // the last observed run's rounds
   TraceCollector collector;
   TraceCollector serialized_collector;
-  MetricsRegistry pool_registry;
   Profiler& profiler = Profiler::instance();
   profiler.set_thread_name("main");
   for (std::size_t rep = 0; rep < reps; ++rep) {
     TrainHistory baseline_history;
-    const double b = run_once(workload, config, nullptr, nullptr,
+    const double b = run_once(workload, config, pool, nullptr,
                               &baseline_history);
     baseline = rep ? std::min(baseline, b) : b;
 
@@ -116,19 +121,17 @@ int main(int argc, char** argv) {
     CompositeObserver stack;
     stack.add(tracer);
     stack.add(collector);
-    const double o = run_once(workload, config, &stack);
+    const double o = run_once(workload, config, pool, &stack);
     observed = rep ? std::min(observed, o) : o;
+    traces = collector.traces();
 
-    // Same observer stack with the span profiler hot, on a pool we own
-    // so worker utilization can be read back. Events from all but the
-    // last rep are discarded so a kept --profile-out trace only shows
-    // one run.
-    ThreadPool profiled_pool(config.threads);
+    // Same observer stack with the span profiler hot. Events from all
+    // but the last rep are discarded so a kept --profile-out trace only
+    // shows one run.
     profiler.discard();
     profiler.enable();
-    const double p = run_once(workload, config, &stack, &profiled_pool);
+    const double p = run_once(workload, config, pool, &stack);
     profiler.disable();
-    if (rep + 1 == reps) record_pool_stats(profiled_pool, pool_registry);
     profiled = rep ? std::min(profiled, p) : p;
     if (rep + 1 == reps) {
       if (options.profile_out.empty()) {
@@ -154,48 +157,55 @@ int main(int argc, char** argv) {
       telemetry_stack.add(metrics);
       telemetry_stack.add(exporter);
       TrainHistory telemetry_history;
-      const double m = run_once(workload, config, &telemetry_stack, nullptr,
+      const double m = run_once(workload, config, pool, &telemetry_stack,
                                 &telemetry_history);
       telemetry = rep ? std::min(telemetry, m) : m;
       history_identical =
           history_identical &&
           telemetry_history.final_parameters ==
               baseline_history.final_parameters;
-      if (rep + 1 == reps) {
-        metrics_dump = registry.to_json(/*include_buckets=*/true);
-      }
     }
 
     // Serialized-transport rep: same run, every payload through the wire
     // codecs. Its collector records the exact measured bytes per round.
     serialized_collector.clear();
-    const double s = run_once(workload, serialized_config,
+    const double s = run_once(workload, serialized_config, pool,
                               &serialized_collector);
     serialized = rep ? std::min(serialized, s) : s;
   }
 
-  const auto& traces = collector.traces();
-  const TraceSummary summary = summarize(traces);
   const double overhead_pct =
       baseline > 0.0 ? 100.0 * (observed - baseline) / baseline : 0.0;
   const double profiler_overhead_pct =
       baseline > 0.0 ? 100.0 * (profiled - baseline) / baseline : 0.0;
-  const double n = summary.rounds ? static_cast<double>(summary.rounds) : 1.0;
 
-  double solve_client_total = 0.0;
-  std::size_t solve_count = 0;
+  RoundTrace sum;  // phase seconds and bytes summed over the observed run
   for (const auto& t : traces) {
-    solve_client_total += t.solve.total_seconds;
-    solve_count += t.solve.count;
+    sum.sampling_seconds += t.sampling_seconds;
+    sum.solve_wall_seconds += t.solve_wall_seconds;
+    sum.aggregate_seconds += t.aggregate_seconds;
+    sum.eval_seconds += t.eval_seconds;
+    sum.solve.total_seconds += t.solve.total_seconds;
+    sum.solve.count += t.solve.count;
+    sum.bytes_down += t.bytes_down;
+    sum.bytes_up += t.bytes_up;
   }
+  const double n = traces.empty() ? 1.0 : static_cast<double>(traces.size());
+  const double pool_utilization =
+      sum.solve_wall_seconds > 0.0
+          ? sum.solve.total_seconds /
+                (sum.solve_wall_seconds * static_cast<double>(pool.size()))
+          : 0.0;
 
   JsonObject phases;
-  phases["sampling_mean_s"] = summary.sampling_seconds / n;
-  phases["solve_wall_mean_s"] = summary.solve_wall_seconds / n;
-  phases["aggregate_mean_s"] = summary.aggregate_seconds / n;
-  phases["eval_mean_s"] = summary.eval_seconds / n;
+  phases["sampling_mean_s"] = sum.sampling_seconds / n;
+  phases["solve_wall_mean_s"] = sum.solve_wall_seconds / n;
+  phases["aggregate_mean_s"] = sum.aggregate_seconds / n;
+  phases["eval_mean_s"] = sum.eval_seconds / n;
   phases["client_solve_mean_s"] =
-      solve_count ? solve_client_total / static_cast<double>(solve_count) : 0.0;
+      sum.solve.count ? sum.solve.total_seconds /
+                            static_cast<double>(sum.solve.count)
+                      : 0.0;
 
   JsonObject out;
   out["benchmark"] = "trainer_round_phases";
@@ -212,28 +222,25 @@ int main(int argc, char** argv) {
   out["profiler_overhead_pct"] = profiler_overhead_pct;
   out["profiled_events"] = profiled_events;
   out["profile_kernels_compiled"] = kProfileKernels;
-  out["pool_busy_seconds"] =
-      pool_registry.gauge("fed_pool_busy_seconds").value();
-  out["pool_queue_wait_seconds"] =
-      pool_registry.gauge("fed_pool_queue_wait_seconds").value();
+  out["threads"] = pool.size();
+  out["pool_utilization"] = pool_utilization;
   out["phases"] = std::move(phases);
-  out["bytes_down_total"] = summary.bytes_down;
-  out["bytes_up_total"] = summary.bytes_up;
+  out["bytes_down_total"] = sum.bytes_down;
+  out["bytes_up_total"] = sum.bytes_up;
 
   // Serialized-transport rep: wall-clock cost of round-tripping every
   // payload through the wire codecs, plus the exact bytes it measured
   // per round (identical to the in-process transport's analytical
   // accounting — asserted in tests/comm_transport_test.cpp).
   // Telemetry rep: cost of the metrics feeder + Prometheus exporter, and
-  // proof it did not perturb training. The registry dump keeps the full
-  // bucket arrays so round/solve latency histograms survive the run.
+  // proof it did not perturb training. Its registry, histogram buckets
+  // included, is the exposition file at metrics_path.
   const double telemetry_overhead_pct =
       baseline > 0.0 ? 100.0 * (telemetry - baseline) / baseline : 0.0;
   out["telemetry_seconds"] = telemetry;
   out["telemetry_overhead_pct"] = telemetry_overhead_pct;
   out["history_bit_identical"] = history_identical;
   out["metrics_path"] = metrics_path;
-  out["metrics"] = std::move(metrics_dump);
 
   const double serialized_overhead_pct =
       baseline > 0.0 ? 100.0 * (serialized - baseline) / baseline : 0.0;
@@ -251,18 +258,10 @@ int main(int argc, char** argv) {
   out["trace_path"] = trace_path;
   save_json_file(json_path, JsonValue(std::move(out)));
 
-  StdoutSummarySink stdout_sink;
-  RunInfo info;
-  info.algorithm = "FedProx";
-  info.rounds = rounds;
-  stdout_sink.begin_run(info);
-  for (const auto& t : traces) {
-    RoundMetrics unused;
-    stdout_sink.write(unused, t);
-  }
-  stdout_sink.end_run(TrainHistory{});
-
-  std::cout << "\nbaseline " << baseline << "s, observers " << observed
+  std::cout << "\npool utilization "
+            << TablePrinter::fmt(pool_utilization, 3) << " over "
+            << pool.size() << " threads\nbaseline " << baseline
+            << "s, observers " << observed
             << "s (overhead " << TablePrinter::fmt(overhead_pct, 2)
             << "%), observers+profiler " << profiled << "s (overhead "
             << TablePrinter::fmt(profiler_overhead_pct, 2) << "%, "

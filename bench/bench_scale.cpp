@@ -75,6 +75,7 @@ int main(int argc, char** argv) {
   }
   if (sweep.empty()) sweep.push_back(max_devices);
 
+  TraceCapture capture(options);  // one trace across the sweep points
   JsonArray points;
   TablePrinter table({"devices", "sampled", "rounds/sec", "round_s",
                       "peak_rss_mb"});
@@ -108,6 +109,7 @@ int main(int argc, char** argv) {
     TraceCollector collector;
     Trainer trainer(model, data, config);
     trainer.add_observer(collector);
+    if (capture.observer()) trainer.add_observer(*capture.observer());
     Stopwatch train_timer;
     const TrainHistory history = trainer.run();
     const double train_seconds = train_timer.seconds();

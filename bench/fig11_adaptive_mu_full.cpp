@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
       apply_rounds(c, w, options);
       specs.push_back({"FedProx, mu>0 (mu=1)", c});
     }
-    auto results = run_variants(w, specs);
+    auto results = run_variants(w, specs, options);
     std::cout << "\n--- " << w.name << ": training loss ---\n"
               << render_series(results, Metric::kTrainLoss);
     append_history_csv(csv, w.name, results);

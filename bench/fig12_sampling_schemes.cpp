@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
                          c});
       }
     }
-    auto results = run_variants(w, specs);
+    auto results = run_variants(w, specs, options);
     std::cout << "\n--- " << w.name << ": training loss ---\n"
               << render_series(results, Metric::kTrainLoss)
               << "\n--- " << w.name << ": testing accuracy ---\n"

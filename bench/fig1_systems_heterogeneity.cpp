@@ -20,9 +20,6 @@ int main(int argc, char** argv) {
 
   CsvWriter csv(options.out_dir + "/fig1_systems_heterogeneity.csv",
                 history_csv_header());
-  TraceCapture trace(options);  // honours --trace-out
-  RunVariantsOptions rv;
-  rv.observer = trace.observer();
 
   for (const auto& name : figure1_workload_names()) {
     const Workload w = load_workload(name, options);
@@ -47,7 +44,7 @@ int main(int argc, char** argv) {
         apply_rounds(c, w, options);
         specs.push_back({"FedProx (mu=" + std::to_string(w.best_mu) + ")", c});
       }
-      auto results = run_variants(w, specs, rv);
+      auto results = run_variants(w, specs, options);
       std::cout << "\n--- " << w.name << ", "
                 << static_cast<int>(stragglers * 100)
                 << "% stragglers: training loss ---\n"

@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
           mu == 0.0 ? "FedAvg (FedProx, mu=0)" : "FedProx, mu>0 (mu=1)";
       specs.push_back({label, c});
     }
-    auto results = run_variants(w, specs);
+    auto results = run_variants(w, specs, options);
     std::cout << "\n--- " << w.name << ": training loss ---\n"
               << render_series(results, Metric::kTrainLoss)
               << "\n--- " << w.name << ": variance of local gradients ---\n"

@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
       c.devices_per_round = k;
       specs.push_back({"FedDane (mu=0, K=" + std::to_string(k) + ")", c});
     }
-    auto results = run_variants(w, specs);
+    auto results = run_variants(w, specs, options);
     std::cout << "\n--- " << w.name << ": training loss ---\n"
               << render_series(results, Metric::kTrainLoss);
     append_history_csv(csv, w.name, results);

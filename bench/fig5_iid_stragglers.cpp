@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
       apply_rounds(c, w, options);
       specs.push_back({"FedProx (mu=0)", c});
     }
-    auto results = run_variants(w, specs);
+    auto results = run_variants(w, specs, options);
     const std::string tag =
         std::to_string(static_cast<int>(stragglers * 100)) + "% stragglers";
     std::cout << "\n--- Synthetic IID (" << tag << "): training loss ---\n"

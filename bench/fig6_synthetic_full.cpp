@@ -16,9 +16,6 @@ int main(int argc, char** argv) {
 
   CsvWriter csv(options.out_dir + "/fig6_synthetic_full.csv",
                 history_csv_header());
-  TraceCapture trace(options);  // honours --trace-out
-  RunVariantsOptions rv;
-  rv.observer = trace.observer();
 
   for (const auto& name : synthetic_workload_names()) {
     const Workload w = load_workload(name, options);
@@ -31,7 +28,7 @@ int main(int argc, char** argv) {
       specs.push_back(
           {mu == 0.0 ? "FedAvg (FedProx, mu=0)" : "FedProx, mu>0 (mu=1)", c});
     }
-    auto results = run_variants(w, specs, rv);
+    auto results = run_variants(w, specs, options);
     std::cout << "\n--- " << w.name << ": training loss ---\n"
               << render_series(results, Metric::kTrainLoss)
               << "\n--- " << w.name << ": testing accuracy ---\n"

@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
       push(Algorithm::kFedAvg, 0.0, "FedAvg");
       push(Algorithm::kFedProx, 0.0, "FedProx (mu=0)");
       push(Algorithm::kFedProx, w.best_mu, "FedProx (best mu)");
-      auto results = run_variants(w, specs);
+      auto results = run_variants(w, specs, options);
 
       const double acc_avg = settled_accuracy(results[0].history);
       const double acc_mu0 = settled_accuracy(results[1].history);

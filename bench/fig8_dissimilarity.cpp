@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
       c.measure_dissimilarity = true;
       specs.push_back({"FedProx (mu>0)", c});
     }
-    auto results = run_variants(w, specs);
+    auto results = run_variants(w, specs, options);
     std::cout << "\n--- " << w.name << ": variance of local gradients ---\n"
               << render_series(results, Metric::kGradVariance);
     append_history_csv(csv, w.name, results);

@@ -32,6 +32,8 @@ int main(int argc, char** argv) {
   CliFlags flags(argc, argv);
   const std::string dataset = flags.get_string("dataset", "synthetic_1_1");
   const double initial_mu = flags.get_double("initial-mu", 0.0);
+  const auto rounds = static_cast<std::size_t>(flags.get_int("rounds", 80));
+  flags.exit_on_unused();
 
   const Workload w = make_workload(dataset, /*seed=*/5);
 
@@ -41,7 +43,7 @@ int main(int argc, char** argv) {
   config.adaptive_mu.initial_mu = initial_mu;
   config.adaptive_mu.step = 0.1;      // the paper's increments
   config.adaptive_mu.patience = 5;    // decreases before relaxing mu
-  config.rounds = static_cast<std::size_t>(flags.get_int("rounds", 80));
+  config.rounds = rounds;
   config.devices_per_round = 10;
   config.systems.epochs = 20;
   config.learning_rate = w.learning_rate;

@@ -19,6 +19,7 @@ int main(int argc, char** argv) {
   using namespace fed;
   CliFlags flags(argc, argv);
   const auto rounds = static_cast<std::size_t>(flags.get_int("rounds", 40));
+  flags.exit_on_unused();
   const std::size_t half = rounds / 2;
   const std::string path = "/tmp/fedprox_checkpoint.bin";
 

@@ -63,6 +63,7 @@ int main(int argc, char** argv) {
   using namespace fed;
   CliFlags flags(argc, argv);
   const auto rounds = static_cast<std::size_t>(flags.get_int("rounds", 40));
+  flags.exit_on_unused();
 
   const Workload w = make_workload("synthetic_0.5_0.5", /*seed=*/3);
 

@@ -20,6 +20,8 @@ int main(int argc, char** argv) {
   CliFlags flags(argc, argv);
   const std::string prefix =
       flags.get_string("prefix", "/tmp/fedprox_leaf_demo");
+  const auto rounds = static_cast<std::size_t>(flags.get_int("rounds", 10));
+  flags.exit_on_unused();
 
   const Workload w = make_workload("synthetic_1_1", /*seed=*/12);
   export_leaf(w.data, prefix);
@@ -32,7 +34,7 @@ int main(int argc, char** argv) {
   // Train on the imported copy; with identical data and seeds the
   // trajectory matches training on the original exactly.
   TrainerConfig config = fedprox_config(1.0);
-  config.rounds = static_cast<std::size_t>(flags.get_int("rounds", 10));
+  config.rounds = rounds;
   config.devices_per_round = 10;
   config.systems.epochs = 5;
   config.learning_rate = w.learning_rate;

@@ -19,6 +19,7 @@ int main(int argc, char** argv) {
   CliFlags flags(argc, argv);
   const std::string dataset = flags.get_string("dataset", "synthetic_1_1");
   const auto rounds = static_cast<std::size_t>(flags.get_int("rounds", 100));
+  flags.exit_on_unused();
 
   const Workload w = make_workload(dataset, /*seed=*/6);
 

@@ -17,6 +17,7 @@ int main(int argc, char** argv) {
   CliFlags flags(argc, argv);
   const double stragglers = flags.get_double("stragglers", 0.9);
   const auto rounds = static_cast<std::size_t>(flags.get_int("rounds", 60));
+  flags.exit_on_unused();
 
   const Workload w = make_workload("synthetic_1_1", /*seed=*/2);
 

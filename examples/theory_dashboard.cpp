@@ -21,6 +21,7 @@ int main(int argc, char** argv) {
   CliFlags flags(argc, argv);
   const std::string dataset = flags.get_string("dataset", "synthetic_1_1");
   const auto epochs = static_cast<std::size_t>(flags.get_int("epochs", 20));
+  flags.exit_on_unused();
 
   const Workload w = make_workload(dataset, /*seed=*/11);
   const Model& model = *w.model;

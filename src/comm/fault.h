@@ -38,7 +38,8 @@ struct FaultProfile {
 };
 
 // Parses "key=value[,key=value...]" with keys drop/corrupt/duplicate/
-// delay_ms; probabilities must lie in [0, 1], delay_ms must be >= 0.
+// delay_ms; probabilities must lie in [0, 1], delay_ms must be finite
+// and >= 0.
 // Throws std::invalid_argument on unknown keys or out-of-range values.
 FaultProfile parse_fault_profile(const std::string& spec);
 // Canonical "drop=0.1,corrupt=0.01,..." form (only the non-zero knobs).

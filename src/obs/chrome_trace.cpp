@@ -22,8 +22,6 @@ JsonObject metadata_event(const char* name, std::uint32_t tid,
 const char* phase_of(ProfileEvent::Type type) {
   switch (type) {
     case ProfileEvent::Type::kComplete: return "X";
-    case ProfileEvent::Type::kAsyncBegin: return "b";
-    case ProfileEvent::Type::kAsyncEnd: return "e";
     case ProfileEvent::Type::kFlowStart: return "s";
     case ProfileEvent::Type::kFlowEnd: return "f";
   }

@@ -2,9 +2,9 @@
 //
 // Renders a Profiler::Snapshot as the JSON object format understood by
 // chrome://tracing and Perfetto (https://ui.perfetto.dev): one "X"
-// complete event per Span (nested per thread track), "b"/"e" async pairs
-// for intervals that legitimately overlap (thread-pool queue waits), and
-// "M" metadata naming the process and every thread ("main", "pool-3").
+// complete event per Span (nested per thread track), "s"/"f" flow
+// arrows between spans, and "M" metadata naming the process and every
+// thread ("main", "pool-3").
 //
 //   Profiler::instance().enable();
 //   ... run ...

@@ -225,6 +225,8 @@ std::size_t seed_counters_from_exposition(MetricsRegistry& registry,
       selector.resize(brace);
     }
     if (!counter_families.count(selector)) continue;
+    // strtoull alone would take "-5" (wrapping to 2^64 - 5) or " 7".
+    if (value_text[0] < '0' || value_text[0] > '9') continue;
     errno = 0;
     char* end = nullptr;
     const unsigned long long value = std::strtoull(value_text.c_str(), &end, 10);

@@ -30,7 +30,6 @@
 
 #include "comm/fault.h"
 #include "obs/observer.h"
-#include "support/json.h"
 #include "support/thread_annotations.h"
 
 namespace fed {
@@ -122,8 +121,8 @@ class Histogram {
 
 // A point-in-time copy of every instrument, grouped by family name with
 // one sample per label set (label sets sorted, families sorted by name).
-// This is what to_json/render and the exposition writer consume, so all
-// three agree on one consistent read of the registry.
+// The exposition writer (obs/exposition.h) renders one of these, so a
+// published file is one consistent read of the registry.
 struct MetricsSnapshot {
   struct CounterSample {
     MetricLabels labels;
@@ -171,15 +170,6 @@ class MetricsRegistry {
 
   MetricsSnapshot snapshot() const FED_EXCLUDES(mutex_);
 
-  // Snapshot of every instrument: {"counters":{...},"gauges":{...},
-  // "histograms":{name:{count,sum,min,max,mean}}}. Labeled instruments
-  // key as name{k="v",...}. With include_buckets, each histogram also
-  // carries its "buckets" counts and "le" upper edges (off by default to
-  // keep the dump compact).
-  JsonValue to_json(bool include_buckets = false) const;
-  // Aligned one-line-per-instrument table for stdout.
-  std::string render() const;
-
  private:
   template <typename T>
   using Family = std::map<MetricLabels, std::unique_ptr<T>>;
@@ -196,10 +186,6 @@ class MetricsRegistry {
   std::map<std::string, Family<Histogram>> histograms_ FED_GUARDED_BY(mutex_);
   std::map<std::string, std::string> help_ FED_GUARDED_BY(mutex_);
 };
-
-// name{k="v",...} selector form for tables/JSON keys ("" labels -> name).
-std::string metric_selector(const std::string& name,
-                            const MetricLabels& labels);
 
 // A pure fold over RoundTrace: on_round_end adds each finished round's
 // trace (and RoundMetrics gauges) to the registry, and no other hook is
@@ -260,13 +246,5 @@ class MetricsObserver final : public TrainingObserver {
   Histogram& round_seconds_;
   Histogram& solve_seconds_;
 };
-
-// Snapshots a pool's per-worker counters into utilization gauges:
-//   fed_pool_worker_tasks{worker="i"} / fed_pool_worker_busy_seconds{...}
-//   / fed_pool_worker_queue_wait_seconds{...}
-// plus fed_pool_busy_seconds and fed_pool_queue_wait_seconds totals.
-// Busy/wait accumulate only while the span profiler is enabled
-// (support/threadpool.h); call after the instrumented run.
-void record_pool_stats(const ThreadPool& pool, MetricsRegistry& registry);
 
 }  // namespace fed

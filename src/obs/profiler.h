@@ -43,18 +43,16 @@ namespace fed {
 // literals (or otherwise outlive the profiler) — events never own text.
 struct ProfileEvent {
   enum class Type : std::uint8_t {
-    kComplete,    // Chrome "X": a span with start + duration; must nest
-    kAsyncBegin,  // Chrome "b": interval that may overlap others (queue
-    kAsyncEnd,    //        "e"   waits); paired by `id`
-    kFlowStart,   // Chrome "s": an arrow leaves the enclosing span here
-    kFlowEnd,     // Chrome "f": ... and lands here; paired by `id`
+    kComplete,   // Chrome "X": a span with start + duration; must nest
+    kFlowStart,  // Chrome "s": an arrow leaves the enclosing span here
+    kFlowEnd,    // Chrome "f": ... and lands here; paired by `id`
   };
 
   const char* name = nullptr;
   const char* category = "span";
   Type type = Type::kComplete;
   std::uint32_t tid = 0;       // profiler-assigned thread id
-  std::uint64_t id = 0;        // pairs kAsyncBegin with kAsyncEnd
+  std::uint64_t id = 0;        // pairs kFlowStart with kFlowEnd
   std::uint64_t start_us = 0;  // microseconds since the profiler epoch
   std::uint64_t dur_us = 0;    // kComplete only
   std::uint8_t num_args = 0;   // occupied slots below
@@ -80,11 +78,6 @@ class Profiler {
 
   // Microseconds since the profiler epoch (first instance() call).
   std::uint64_t now_us() const;
-
-  // Unique id for a kAsyncBegin/kAsyncEnd pair.
-  std::uint64_t next_async_id() {
-    return async_id_.fetch_add(1, std::memory_order_relaxed);
-  }
 
   // Appends to the calling thread's buffer. Caller checks is_enabled().
   void record(const ProfileEvent& event) FED_EXCLUDES(registry_mutex_);
@@ -119,7 +112,6 @@ class Profiler {
 
   static std::atomic<bool> enabled_;
   std::chrono::steady_clock::time_point epoch_;
-  std::atomic<std::uint64_t> async_id_{1};
   Mutex registry_mutex_;  // guards buffers_ growth only
   std::vector<std::unique_ptr<ThreadBuffer>> buffers_
       FED_GUARDED_BY(registry_mutex_);

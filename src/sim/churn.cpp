@@ -1,6 +1,7 @@
 #include "sim/churn.h"
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
 #include <stdexcept>
 
@@ -11,10 +12,20 @@ namespace fed {
 namespace {
 
 void check_probability(const char* key, double value) {
-  if (value < 0.0 || value > 1.0) {
+  if (!(value >= 0.0 && value <= 1.0)) {  // NaN fails too
     throw std::invalid_argument("churn config: " + std::string(key) + "=" +
                                 std::to_string(value) + " outside [0, 1]");
   }
+}
+
+// A device count: a whole number small enough to convert exactly (a
+// bare static_cast of NaN, inf or 1e300 is undefined behaviour).
+std::size_t device_count(const std::string& key, double value) {
+  if (!(value >= 0.0 && value <= 0x1p53) || value != std::floor(value)) {
+    throw std::invalid_argument("churn config: " + key +
+                                " must be a whole number of devices");
+  }
+  return static_cast<std::size_t>(value);
 }
 
 void validate(const ChurnConfig& config) {
@@ -50,13 +61,9 @@ ChurnConfig parse_churn_config(const std::string& spec) {
     } else if (key == "depart") {
       config.depart = value;
     } else if (key == "initial") {
-      if (value < 0.0) throw std::invalid_argument("churn config: initial < 0");
-      config.initial = static_cast<std::size_t>(value);
+      config.initial = device_count(key, value);
     } else if (key == "min_active") {
-      if (value < 0.0) {
-        throw std::invalid_argument("churn config: min_active < 0");
-      }
-      config.min_active = static_cast<std::size_t>(value);
+      config.min_active = device_count(key, value);
     } else {
       throw std::invalid_argument(
           "churn config: unknown key \"" + key +

@@ -54,7 +54,8 @@ struct ChurnConfig {
 };
 
 // Parses "key=value[,key=value...]" with keys arrive/depart/initial/
-// min_active; probabilities must lie in [0, 1]. Throws
+// min_active; probabilities must lie in [0, 1], initial and min_active
+// must be whole numbers. Throws
 // std::invalid_argument on unknown keys or out-of-range values.
 ChurnConfig parse_churn_config(const std::string& spec);
 // Canonical "arrive=0.05,depart=0.02,..." form (only the non-zero knobs).

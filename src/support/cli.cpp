@@ -1,5 +1,7 @@
 #include "support/cli.h"
 
+#include <cstdlib>
+#include <iostream>
 #include <stdexcept>
 
 namespace fed {
@@ -105,6 +107,14 @@ std::vector<std::string> CliFlags::unused() const {
     if (!read_.contains(name)) out.push_back(name);
   }
   return out;
+}
+
+void CliFlags::exit_on_unused() const {
+  const std::vector<std::string> unknown = unused();
+  for (const auto& name : unknown) {
+    std::cerr << "error: unknown flag --" << name << "\n";
+  }
+  if (!unknown.empty()) std::exit(2);
 }
 
 }  // namespace fed

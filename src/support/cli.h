@@ -36,6 +36,10 @@ class CliFlags {
 
   // Flags seen but never read; useful to warn on typos.
   std::vector<std::string> unused() const;
+  // The typo guard every binary runs once its last flag is read: names
+  // each unused flag on stderr ("error: unknown flag --NAME") and exits
+  // with status 2 if there is any.
+  void exit_on_unused() const;
 
  private:
   std::optional<std::string> raw(const std::string& name) const;

@@ -83,12 +83,22 @@ class Parser {
     }
   }
 
+  // Containers recurse, so a document of a million '[' would overflow the
+  // stack; no LEAF file nests anywhere near this deep.
+  static constexpr std::size_t kMaxDepth = 512;
+
+  void enter_container() {
+    if (++depth_ > kMaxDepth) fail("nesting deeper than 512 levels");
+  }
+
   JsonValue parse_object() {
+    enter_container();
     expect('{');
     JsonObject object;
     skip_whitespace();
     if (peek() == '}') {
       ++pos_;
+      --depth_;
       return JsonValue(std::move(object));
     }
     for (;;) {
@@ -105,15 +115,18 @@ class Parser {
         fail("expected ',' or '}' in object");
       }
     }
+    --depth_;
     return JsonValue(std::move(object));
   }
 
   JsonValue parse_array() {
+    enter_container();
     expect('[');
     JsonArray array;
     skip_whitespace();
     if (peek() == ']') {
       ++pos_;
+      --depth_;
       return JsonValue(std::move(array));
     }
     for (;;) {
@@ -126,6 +139,7 @@ class Parser {
         fail("expected ',' or ']' in array");
       }
     }
+    --depth_;
     return JsonValue(std::move(array));
   }
 
@@ -210,6 +224,7 @@ class Parser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  // open containers around pos_
 };
 
 void serialize_to(const JsonValue& value, std::string& out);

@@ -5,7 +5,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
 #include "support/csv.h"
 
@@ -64,40 +63,6 @@ Vector load_checkpoint(const std::string& path, std::size_t expected_dim) {
                              std::to_string(expected_dim) + ")");
   }
   return w;
-}
-
-namespace {
-const std::vector<std::string> kHistoryHeader = {
-    "round",        "evaluated",        "train_loss",
-    "train_accuracy", "test_accuracy",  "grad_variance",
-    "dissimilarity_b", "dissimilarity_measured", "mu",
-    "mean_gamma",   "gamma_measured",   "contributors",
-    "stragglers"};
-}  // namespace
-
-void save_history(const std::string& path, const TrainHistory& history) {
-  CsvWriter csv(path, kHistoryHeader);
-  // Disengaged optionals serialize as 0 with their presence flag cleared,
-  // keeping the on-disk schema identical to the pre-optional format.
-  const auto fmt = [](const std::optional<double>& v) {
-    std::ostringstream out;
-    out.precision(17);
-    out << v.value_or(0.0);
-    return out.str();
-  };
-  for (const auto& m : history.rounds) {
-    std::ostringstream mu;
-    mu.precision(17);
-    mu << m.mu;
-    csv.write_row({std::to_string(m.round), m.evaluated() ? "1" : "0",
-                   fmt(m.train_loss), fmt(m.train_accuracy),
-                   fmt(m.test_accuracy), fmt(m.grad_variance),
-                   fmt(m.dissimilarity_b),
-                   m.dissimilarity_b.has_value() ? "1" : "0", mu.str(),
-                   fmt(m.mean_gamma), m.mean_gamma.has_value() ? "1" : "0",
-                   std::to_string(m.contributors),
-                   std::to_string(m.stragglers)});
-  }
 }
 
 namespace {
@@ -522,43 +487,6 @@ CheckpointState decode_checkpoint_state(std::span<const std::uint8_t> buffer) {
   }
   r.finish();
   return state;
-}
-
-TrainHistory load_history(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("load_history: cannot open " + path);
-  std::string line;
-  if (!std::getline(in, line)) {
-    throw std::runtime_error("load_history: empty file " + path);
-  }
-  TrainHistory history;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    std::vector<std::string> cells;
-    std::string cell;
-    std::istringstream row(line);
-    while (std::getline(row, cell, ',')) cells.push_back(cell);
-    if (cells.size() != kHistoryHeader.size()) {
-      throw std::runtime_error("load_history: malformed row in " + path);
-    }
-    RoundMetrics m;
-    m.round = std::stoull(cells[0]);
-    if (cells[1] == "1") {
-      m.train_loss = std::stod(cells[2]);
-      m.train_accuracy = std::stod(cells[3]);
-      m.test_accuracy = std::stod(cells[4]);
-    }
-    if (cells[7] == "1") {
-      m.grad_variance = std::stod(cells[5]);
-      m.dissimilarity_b = std::stod(cells[6]);
-    }
-    m.mu = std::stod(cells[8]);
-    if (cells[10] == "1") m.mean_gamma = std::stod(cells[9]);
-    m.contributors = std::stoull(cells[11]);
-    m.stragglers = std::stoull(cells[12]);
-    history.rounds.push_back(m);
-  }
-  return history;
 }
 
 }  // namespace fed

@@ -1,11 +1,11 @@
-// Binary serialization: model checkpoints, training histories, and the
-// wire codecs for the federation messages (comm/message.h) that
-// SerializedTransport round-trips every payload through.
+// Binary serialization: model checkpoints and the wire codecs for the
+// federation messages (comm/message.h) that SerializedTransport
+// round-trips every payload through. Training histories travel inside
+// FPC1 checkpoints; the CSVs bench drivers write are an output format
+// only (core/experiment.h, history_csv_header), never read back.
 //
 // Checkpoint format (little-endian):
 //   magic "FPX1" | u64 dimension | dimension * f64 parameters
-// History format: the experiment CSV schema (support for reading back the
-// same files bench drivers write).
 //
 // Wire formats (little-endian, doubles round-trip bit-exactly). Every
 // envelope carries the message's TraceContext right after `round` — the
@@ -48,8 +48,8 @@
 //                    | u64 fnv1a over every preceding byte
 //   (round record: u64 round | u8 evaluated | 3 * f64 eval metrics
 //    | u8 has_dissimilarity | 2 * f64 | f64 mu | u8 has_gamma | f64
-//    | u64 contributors | u64 stragglers — the history CSV schema,
-//    with doubles bit-exact instead of decimal.)
+//    | u64 contributors | u64 stragglers — one RoundMetrics, with
+//    doubles bit-exact.)
 // Decoders reject bad magic, truncation, trailing bytes, and corrupt
 // boolean/scheme flags with std::runtime_error; the FPC1 decoder
 // additionally rejects any frame whose trailing checksum does not match,
@@ -76,11 +76,6 @@ Vector load_checkpoint(const std::string& path);
 
 // Like load_checkpoint, but also validates the dimension.
 Vector load_checkpoint(const std::string& path, std::size_t expected_dim);
-
-// Serializes every round of `history` (evaluated or not) to a CSV at
-// `path` and reads it back. Round-trip is exact for the recorded fields.
-void save_history(const std::string& path, const TrainHistory& history);
-TrainHistory load_history(const std::string& path);
 
 // ---------------------------------------------------------------------------
 // Federation payload codecs.

@@ -12,10 +12,6 @@ ThreadPool::ThreadPool(std::size_t threads) {
     threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
   workers_.reserve(threads);
-  counters_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i) {
-    counters_.push_back(std::make_unique<WorkerCounters>());
-  }
   for (std::size_t i = 0; i < threads; ++i) {
     workers_.emplace_back([this, i] { worker_loop(i); });
   }
@@ -31,11 +27,8 @@ ThreadPool::~ThreadPool() {
 }
 
 std::future<void> ThreadPool::submit(std::function<void()> task) {
-  Task entry{std::packaged_task<void()>(std::move(task)), 0};
-  if (Profiler::is_enabled()) {
-    entry.enqueue_us = Profiler::instance().now_us();
-  }
-  std::future<void> fut = entry.work.get_future();
+  std::packaged_task<void()> entry(std::move(task));
+  std::future<void> fut = entry.get_future();
   {
     MutexLock lock(mutex_);
     tasks_.push(std::move(entry));
@@ -62,26 +55,10 @@ void ThreadPool::parallel_for(std::size_t n,
   if (first_error) std::rethrow_exception(first_error);
 }
 
-std::vector<ThreadPool::WorkerStats> ThreadPool::worker_stats() const {
-  std::vector<WorkerStats> stats;
-  stats.reserve(counters_.size());
-  for (const auto& c : counters_) {
-    WorkerStats s;
-    s.tasks_executed = c->tasks.load(std::memory_order_relaxed);
-    s.busy_seconds = 1e-6 * c->busy_us.load(std::memory_order_relaxed);
-    s.queue_wait_seconds = 1e-6 * c->wait_us.load(std::memory_order_relaxed);
-    stats.push_back(s);
-  }
-  return stats;
-}
-
 void ThreadPool::worker_loop(std::size_t index) {
-  Profiler& profiler = Profiler::instance();
-  profiler.set_thread_name("pool-" + std::to_string(index));
-  WorkerCounters& counters = *counters_[index];
-
+  Profiler::instance().set_thread_name("pool-" + std::to_string(index));
   for (;;) {
-    Task task;
+    std::packaged_task<void()> task;
     {
       MutexLock lock(mutex_);
       while (!stop_ && tasks_.empty()) cv_.wait(mutex_);
@@ -89,35 +66,8 @@ void ThreadPool::worker_loop(std::size_t index) {
       task = std::move(tasks_.front());
       tasks_.pop();
     }
-    counters.tasks.fetch_add(1, std::memory_order_relaxed);
-    if (Profiler::is_enabled()) {
-      const std::uint64_t start_us = profiler.now_us();
-      if (task.enqueue_us != 0 && task.enqueue_us <= start_us) {
-        // Queue waits overlap each other and prior executions on this
-        // track, so record them as an async pair rather than an X span.
-        ProfileEvent begin;
-        begin.name = "queue_wait";
-        begin.category = "pool";
-        begin.type = ProfileEvent::Type::kAsyncBegin;
-        begin.id = profiler.next_async_id();
-        begin.start_us = task.enqueue_us;
-        profiler.record(begin);
-        ProfileEvent end = begin;
-        end.type = ProfileEvent::Type::kAsyncEnd;
-        end.start_us = start_us;
-        profiler.record(end);
-        counters.wait_us.fetch_add(start_us - task.enqueue_us,
-                                   std::memory_order_relaxed);
-      }
-      {
-        Span exec("task", "pool");
-        task.work();
-      }
-      counters.busy_us.fetch_add(profiler.now_us() - start_us,
-                                 std::memory_order_relaxed);
-    } else {
-      task.work();
-    }
+    Span exec("task", "pool");
+    task();
   }
 }
 

@@ -4,20 +4,17 @@
 // pool only changes wall-clock time, never results.
 //
 // Workers register named profiler tracks ("pool-0", "pool-1", ...); when
-// the span profiler is enabled each task records its queue wait (async
-// "b"/"e" pair — waits overlap, so they are not X spans) and an
-// execution span, and per-worker busy/wait totals accumulate for
-// utilization gauges (worker_stats). With the profiler disabled the only
-// added cost per task is one relaxed atomic load.
+// the span profiler is enabled each task records one "task" execution
+// span. With the profiler disabled the only added cost per task is one
+// relaxed atomic load. Pool utilization comes from the round traces
+// (obs/trace.h), not from counters here: Σ client solve seconds ÷
+// (solve wall seconds × pool size).
 
 #pragma once
 
-#include <atomic>
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 #include <future>
-#include <memory>
 #include <queue>
 #include <thread>
 #include <vector>
@@ -45,38 +42,16 @@ class ThreadPool {
   // Exceptions from tasks are rethrown (the first one encountered).
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
-  // Per-worker execution counters. tasks_executed always counts;
-  // busy/wait seconds accumulate only while the profiler is enabled.
-  struct WorkerStats {
-    std::uint64_t tasks_executed = 0;
-    double busy_seconds = 0.0;
-    double queue_wait_seconds = 0.0;
-  };
-  std::vector<WorkerStats> worker_stats() const;
-
  private:
-  struct Task {
-    std::packaged_task<void()> work;
-    std::uint64_t enqueue_us = 0;  // 0 = profiler was off at submit time
-  };
-  // Written only by the owning worker; read by worker_stats().
-  struct WorkerCounters {
-    std::atomic<std::uint64_t> tasks{0};
-    std::atomic<std::uint64_t> busy_us{0};
-    std::atomic<std::uint64_t> wait_us{0};
-  };
-
   void worker_loop(std::size_t index);
 
-  // workers_ and counters_ are fixed at construction (written before the
-  // workers start, const thereafter); the queue and the stop flag are
+  // workers_ is fixed at construction; the queue and the stop flag are
   // the only cross-thread mutable state, guarded by mutex_ with cv_
   // signalling arrivals and shutdown.
   std::vector<std::thread> workers_;
-  std::vector<std::unique_ptr<WorkerCounters>> counters_;
   Mutex mutex_;
   CondVar cv_;
-  std::queue<Task> tasks_ FED_GUARDED_BY(mutex_);
+  std::queue<std::packaged_task<void()>> tasks_ FED_GUARDED_BY(mutex_);
   bool stop_ FED_GUARDED_BY(mutex_) = false;
 };
 

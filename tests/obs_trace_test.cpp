@@ -1,6 +1,5 @@
 // Trace plumbing: JSONL sink output (one parseable line per round with
-// every phase key), the bytes-moved arithmetic, SolveStats/TraceSummary,
-// and the stdout summary sink.
+// every phase key), the bytes-moved arithmetic, and SolveStats.
 
 #include "obs/trace_sink.h"
 
@@ -83,29 +82,6 @@ TEST_F(TraceTest, SolveStatsFromSamples) {
   const SolveStats empty = SolveStats::from_samples({});
   EXPECT_EQ(empty.count, 0u);
   EXPECT_DOUBLE_EQ(empty.total_seconds, 0.0);
-}
-
-TEST_F(TraceTest, SummaryAccumulatesAcrossRounds) {
-  RoundTrace a;
-  a.sampling_seconds = 0.1;
-  a.aggregate_seconds = 0.2;
-  a.round_seconds = 1.0;
-  a.bytes_down = 100;
-  a.bytes_up = 50;
-  RoundTrace b;
-  b.eval_seconds = 0.4;
-  b.round_seconds = 0.5;
-  b.bytes_down = 10;
-
-  const std::vector<RoundTrace> traces{a, b};
-  const TraceSummary s = summarize(traces);
-  EXPECT_EQ(s.rounds, 2u);
-  EXPECT_NEAR(s.total_seconds, 1.5, 1e-12);
-  EXPECT_NEAR(s.sampling_seconds, 0.1, 1e-12);
-  EXPECT_NEAR(s.aggregate_seconds, 0.2, 1e-12);
-  EXPECT_NEAR(s.eval_seconds, 0.4, 1e-12);
-  EXPECT_EQ(s.bytes_down, 110u);
-  EXPECT_EQ(s.bytes_up, 50u);
 }
 
 TEST_F(TraceTest, JsonlSinkWritesHeaderPlusOneLinePerRecord) {
@@ -204,25 +180,6 @@ TEST_F(TraceTest, TraceToJsonRoundTripsStructuralFields) {
   EXPECT_EQ(reparsed, v);
 }
 
-TEST_F(TraceTest, StdoutSummarySinkRendersPhaseTable) {
-  LogisticRegression model(data().input_dim, data().num_classes);
-  std::ostringstream out;
-  StdoutSummarySink sink(out);
-  TraceObserver tracer(sink);
-  Trainer trainer(model, data(), config(3));
-  trainer.add_observer(tracer);
-  trainer.run();
-
-  const std::string text = out.str();
-  EXPECT_NE(text.find("FedProx run: 4 rounds"), std::string::npos);
-  EXPECT_NE(text.find("12 client solves"), std::string::npos);
-  EXPECT_NE(text.find("sampling"), std::string::npos);
-  EXPECT_NE(text.find("local solve"), std::string::npos);
-  EXPECT_NE(text.find("aggregate"), std::string::npos);
-  EXPECT_NE(text.find("evaluation"), std::string::npos);
-  EXPECT_NE(text.find("total"), std::string::npos);
-}
-
 TEST_F(TraceTest, JsonlFileSinkCreatesParentDirectories) {
   const std::string dir = ::testing::TempDir() + "fedprox_obs_trace";
   const std::string path = dir + "/nested/trace.jsonl";
@@ -235,7 +192,7 @@ TEST_F(TraceTest, JsonlFileSinkCreatesParentDirectories) {
     RoundMetrics m;
     RoundTrace t;
     sink.write(m, t);
-    sink.end_run(TrainHistory{});
+    sink.end_run();
   }
   std::ifstream in(path);
   ASSERT_TRUE(in.good());
@@ -268,7 +225,7 @@ TEST_F(TraceTest, JsonlSinkRotatesWithBoundedGenerations) {
       t.round = r;
       sink.write(m, t);
     }
-    sink.end_run(TrainHistory{});
+    sink.end_run();
     EXPECT_GE(sink.rotations(), 2u);  // enough data to cycle generations
   }
   // Bounded: the active file plus at most max_generations rotated ones.

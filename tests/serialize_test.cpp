@@ -69,52 +69,6 @@ TEST_F(SerializeTest, TrailingBytesThrow) {
   EXPECT_THROW(load_checkpoint(path), std::runtime_error);
 }
 
-TEST_F(SerializeTest, HistoryRoundTrip) {
-  TrainHistory h;
-  for (std::size_t i = 0; i < 4; ++i) {
-    RoundMetrics m;
-    m.round = i;
-    if (i % 2 == 0) {  // evaluated rounds carry the three eval metrics
-      m.train_loss = 1.0 / (i + 1);
-      m.train_accuracy = 0.25 * i;
-      m.test_accuracy = 0.2 * i;
-    }
-    if (i == 2) {  // dissimilarity measured this round
-      m.grad_variance = 10.0 * i;
-      m.dissimilarity_b = 1.0 + 0.1 * i;
-    }
-    m.mu = 0.1 * i;
-    if (i == 1) m.mean_gamma = 0.5;
-    m.contributors = i;
-    m.stragglers = 4 - i;
-    h.rounds.push_back(m);
-  }
-  const std::string path = dir + "/history.csv";
-  save_history(path, h);
-  const TrainHistory loaded = load_history(path);
-  ASSERT_EQ(loaded.rounds.size(), h.rounds.size());
-  for (std::size_t i = 0; i < h.rounds.size(); ++i) {
-    EXPECT_EQ(loaded.rounds[i].round, h.rounds[i].round);
-    EXPECT_EQ(loaded.rounds[i].evaluated(), h.rounds[i].evaluated());
-    EXPECT_EQ(loaded.rounds[i].train_loss, h.rounds[i].train_loss);
-    EXPECT_EQ(loaded.rounds[i].train_accuracy, h.rounds[i].train_accuracy);
-    EXPECT_EQ(loaded.rounds[i].test_accuracy, h.rounds[i].test_accuracy);
-    EXPECT_EQ(loaded.rounds[i].grad_variance, h.rounds[i].grad_variance);
-    EXPECT_EQ(loaded.rounds[i].dissimilarity_b, h.rounds[i].dissimilarity_b);
-    EXPECT_DOUBLE_EQ(loaded.rounds[i].mu, h.rounds[i].mu);
-    EXPECT_EQ(loaded.rounds[i].mean_gamma, h.rounds[i].mean_gamma);
-    EXPECT_EQ(loaded.rounds[i].contributors, h.rounds[i].contributors);
-    EXPECT_EQ(loaded.rounds[i].stragglers, h.rounds[i].stragglers);
-  }
-}
-
-TEST_F(SerializeTest, LoadHistoryRejectsMalformedRow) {
-  std::filesystem::create_directories(dir);
-  const std::string path = dir + "/bad.csv";
-  std::ofstream(path) << "header\n1,2,3\n";
-  EXPECT_THROW(load_history(path), std::runtime_error);
-}
-
 // --- Federation payload codecs -------------------------------------------
 
 // A broadcast with every field off its default, including doubles that

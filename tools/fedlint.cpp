@@ -431,25 +431,27 @@ int run_self_test() {
 
 int main(int argc, char** argv) {
   const fed::CliFlags flags(argc, argv);
+  const bool list_rules = flags.get_bool("list-rules", false);
+  const bool self_test = flags.get_bool("self-test", false);
+  const fs::path root = flags.get_string("root", ".");
+  const auto allowlist_path = flags.get_optional_string("allowlist");
+  flags.exit_on_unused();
 
-  if (flags.get_bool("list-rules", false)) {
+  if (list_rules) {
     for (const Rule& rule : rules()) {
       std::cout << rule.id << ": " << rule.message << "\n";
     }
     return 0;
   }
-  if (flags.get_bool("self-test", false)) return run_self_test();
+  if (self_test) return run_self_test();
 
-  const fs::path root = flags.get_string("root", ".");
   if (!fs::is_directory(root)) {
     std::cerr << "fedlint: --root " << root << " is not a directory\n";
     return 2;
   }
 
   std::vector<AllowEntry> allowlist;
-  if (const auto path = flags.get_optional_string("allowlist")) {
-    allowlist = load_allowlist(*path);
-  }
+  if (allowlist_path) allowlist = load_allowlist(*allowlist_path);
 
   std::vector<Finding> findings;
   // Repo layout: scan the source dirs (tests/ and build*/ stay out by

@@ -12,10 +12,11 @@
 //
 // JSONL checks: every line parses as a JSON object, the first line is a
 // run header ({"run":{...}}), every later line carries a "round" or is a
-// new segment header (a crashed-and-resumed run appends one header per
-// segment; mid-file headers must carry "resumed": true and a
-// "first_round", and the first round line after one must continue at
-// first_round + 1), and the transport byte/fault accounting holds —
+// new segment header — either a new run (drivers train their variants
+// back to back into one trace) or, marked "resumed": true with a
+// "first_round", the continuation of a crashed run, whose first round
+// line must continue at first_round + 1 — and the transport byte/fault
+// accounting holds —
 // bytes_down/bytes_up and the "faults" object present on every round
 // line, bytes non-zero exactly when attempts were made / deliveries
 // charged, and divisible by the attempt / delivery count (every device
@@ -28,16 +29,17 @@
 // Checkpoint checks (--checkpoint, needs --jsonl): every "checkpoint"
 // block names the round of its own line, reports non-zero bytes, and
 // honors the generation bound (generations <= retain); checkpoint rounds
-// are strictly increasing across the whole trace; every resumed segment
+// are strictly increasing within each run; every resumed segment
 // starts from the newest checkpoint written before it (resume round ==
 // checkpoint round, first executed round == checkpoint round + 1); and
 // at least one checkpoint was written.
 // Chrome checks: the document parses, traceEvents is non-empty, "X"
-// events nest properly per thread (a stack check over ts/dur), async
-// "b"/"e" pairs match up by id, flow "s"/"f" pairs balance per id with
-// the start never after the finish (the round -> exchange -> shard ->
-// merge arrows of obs/trace_context.h), the run/round/exchange spans are
-// present, and at least one thread is named "pool-<i>".
+// events nest properly per thread (a stack check over ts/dur), flow
+// "s"/"f" pairs balance per id with the start never after the finish
+// (the round -> exchange -> shard -> merge arrows of
+// obs/trace_context.h), no other event phase appears, the run/round/
+// exchange spans are present, and at least one thread is named
+// "pool-<i>".
 // Metrics checks: every line is a valid 0.0.4 HELP/TYPE/sample line,
 // sample families are typed before use, histogram `_bucket` series are
 // cumulative and end in an `le="+Inf"` bucket equal to `_count`. With
@@ -341,11 +343,13 @@ JsonlTotals lint_jsonl(const std::string& path, bool checkpoint_mode) {
       const JsonValue& run = value.at("run");
       const bool resumed =
           run.contains("resumed") && run.at("resumed").as_bool();
-      if (segments > 1 && !resumed) {
-        fail(where + ": mid-file run header is not marked \"resumed\" "
-                     "(only a resumed run may append a new segment)");
-      }
-      if (resumed) {
+      if (!resumed) {
+        // A new run: drivers train their variants back to back into one
+        // trace, and each run's checkpoints are its own.
+        have_checkpoint = false;
+        last_checkpoint_round = 0;
+        checkpoint_rounds.clear();
+      } else {
         if (!run.contains("first_round")) {
           fail(where + ": resumed run header lacks \"first_round\"");
         }
@@ -457,7 +461,6 @@ void lint_chrome(const std::string& path) {
   if (events.empty()) fail(path + ": traceEvents is empty");
 
   std::map<std::size_t, std::vector<XEvent>> x_by_tid;
-  std::map<std::size_t, std::size_t> async_open;  // id -> open "b" count
   // Flow arrows pair by id; the file order is per-thread drain order, so
   // an "f" can appear before its "s" and the check must run at the end.
   struct FlowInfo {
@@ -484,16 +487,6 @@ void lint_chrome(const std::string& path) {
       span_names.insert(name);
       x_by_tid[tid].push_back(
           {ev.at("ts").as_number(), ev.at("dur").as_number(), name});
-    } else if (ph == "b") {
-      ++async_open[static_cast<std::size_t>(ev.at("id").as_number())];
-    } else if (ph == "e") {
-      const auto id = static_cast<std::size_t>(ev.at("id").as_number());
-      auto it = async_open.find(id);
-      if (it == async_open.end() || it->second == 0) {
-        fail(path + ": async \"e\" event (id " + std::to_string(id) +
-             ") without a matching \"b\"");
-      }
-      --it->second;
     } else if (ph == "s" || ph == "f") {
       FlowInfo& flow = flows[ev.at("id").as_number()];
       if (flow.name.empty()) {
@@ -506,12 +499,6 @@ void lint_chrome(const std::string& path) {
           .push_back(ev.at("ts").as_number());
     } else {
       fail(path + ": unexpected event phase \"" + ph + "\"");
-    }
-  }
-  for (const auto& [id, open] : async_open) {
-    if (open != 0) {
-      fail(path + ": async \"b\" event (id " + std::to_string(id) +
-           ") never closed");
     }
   }
   std::size_t flow_arrows = 0;
@@ -822,6 +809,7 @@ int main(int argc, char** argv) {
   const auto chrome = flags.get_optional_string("chrome");
   const auto metrics = flags.get_optional_string("metrics");
   const bool checkpoint = flags.get_bool("checkpoint", false);
+  flags.exit_on_unused();
   if (!jsonl && !chrome && !metrics) {
     fail(
         "usage: trace_lint [--jsonl run.jsonl [--checkpoint]] "
