@@ -8,20 +8,25 @@
 // transport (every broadcast/update round-trips the binary wire format)
 // — and writes BENCH_trainer_round.json with per-phase means, pool
 // utilization, the observer/profiler/telemetry/serialization overheads
-// and the exact transport-measured bytes moved per round. Pool
+// and the exact transport-measured bytes moved per round. Run costs are
+// process CPU seconds (every pool thread included), the minimum over the
+// reps: wall time on a shared host swings with other tenants' load. Pool
 // utilization is Σ client solve seconds ÷ (Σ solve wall seconds × pool
 // size) over the observed run's traces: the share of worker time the
 // stragglers' partial work keeps busy. The
 // telemetry rep's history is checked bit-identical against the baseline
 // ("history_bit_identical"); its registry is published as Prometheus
-// text next to the CSVs (override with --metrics-out). The JSONL trace
-// lands there too (override with --trace-out); pass --profile-out to
-// also keep one rep's Chrome trace.
+// text next to the CSVs (override with --metrics-out). The observed
+// run's JSONL trace lands there too (override with --trace-out); each
+// file holds one run, so `trace_lint --jsonl <trace> --metrics <prom>`
+// reconciles them. Pass --profile-out to also keep one rep's Chrome
+// trace.
 //
 //   ./bench_round_phases [--rounds 20] [--reps 3] [--stragglers 0.5]
 
 #include <algorithm>
 #include <iostream>
+#include <sstream>
 
 #include "bench_common.h"
 #include "comm/transport.h"
@@ -39,17 +44,30 @@ namespace {
 using namespace fed;
 using namespace fed::bench;
 
+// Process CPU seconds of one training run.
 double run_once(const Workload& workload, const TrainerConfig& config,
                 ThreadPool& pool, TrainingObserver* observer,
                 TrainHistory* history = nullptr) {
   Trainer trainer(*workload.model, workload.data, config, &pool);
   if (observer) trainer.add_observer(*observer);
-  Stopwatch timer;
+  CpuStopwatch timer;
   TrainHistory h = trainer.run();
   const double seconds = timer.seconds();
   if (history) *history = std::move(h);
   return seconds;
 }
+
+// The observed modes' observers: a JSONL trace sink and a collector.
+// Each run gets its own stack, so each trace holds exactly one run.
+struct ObserverStack {
+  explicit ObserverStack(JsonlTraceSink& sink) : tracer(sink) {
+    stack.add(tracer);
+    stack.add(collector);
+  }
+  TraceObserver tracer;
+  TraceCollector collector;
+  CompositeObserver stack;
+};
 
 }  // namespace
 
@@ -83,10 +101,9 @@ int main(int argc, char** argv) {
   config.shards = options.shards ? options.shards : 1;
   apply_faults(config, options);
 
-  // Warm-up (thread pool, page cache), then alternate baseline/observed
-  // reps and keep the minimum of each — the standard way to strip
-  // scheduler noise from a wall-clock comparison. Every mode shares the
-  // one pool, whose size is the utilization denominator.
+  // Warm-up (thread pool, page cache), then alternate the modes rep by
+  // rep and keep the minimum CPU time of each. Every mode shares the one
+  // pool, whose size is the utilization denominator.
   ThreadPool pool(config.threads);
   run_once(workload, config, pool, nullptr);
 
@@ -105,7 +122,6 @@ int main(int argc, char** argv) {
   TrainerConfig serialized_config = config;
   serialized_config.transport = make_transport(TransportKind::kSerialized);
   std::vector<RoundTrace> traces;  // the last observed run's rounds
-  TraceCollector collector;
   TraceCollector serialized_collector;
   Profiler& profiler = Profiler::instance();
   profiler.set_thread_name("main");
@@ -115,22 +131,24 @@ int main(int argc, char** argv) {
                               &baseline_history);
     baseline = rep ? std::min(baseline, b) : b;
 
-    collector.clear();
-    JsonlTraceSink sink(trace_path);
-    TraceObserver tracer(sink);
-    CompositeObserver stack;
-    stack.add(tracer);
-    stack.add(collector);
-    const double o = run_once(workload, config, pool, &stack);
-    observed = rep ? std::min(observed, o) : o;
-    traces = collector.traces();
+    {
+      JsonlTraceSink sink(trace_path);
+      ObserverStack observers(sink);
+      const double o = run_once(workload, config, pool, &observers.stack);
+      observed = rep ? std::min(observed, o) : o;
+      traces = observers.collector.traces();
+    }
 
-    // Same observer stack with the span profiler hot. Events from all
-    // but the last rep are discarded so a kept --profile-out trace only
-    // shows one run.
+    // The same observers, a stack of their own (its trace goes to
+    // memory), with the span profiler hot. Events from all but the last
+    // rep are discarded so a kept --profile-out trace only shows one run.
+    std::ostringstream profiled_trace;
+    JsonlTraceSink profiled_sink(profiled_trace);
+    ObserverStack profiled_observers(profiled_sink);
     profiler.discard();
     profiler.enable();
-    const double p = run_once(workload, config, pool, &stack);
+    const double p =
+        run_once(workload, config, pool, &profiled_observers.stack);
     profiler.disable();
     profiled = rep ? std::min(profiled, p) : p;
     if (rep + 1 == reps) {
@@ -215,10 +233,10 @@ int main(int argc, char** argv) {
   out["devices_per_round"] = config.devices_per_round;
   out["straggler_fraction"] = stragglers;
   out["reps"] = reps;
-  out["baseline_seconds"] = baseline;
-  out["observed_seconds"] = observed;
+  out["baseline_cpu_seconds"] = baseline;
+  out["observed_cpu_seconds"] = observed;
   out["overhead_pct"] = overhead_pct;
-  out["profiled_seconds"] = profiled;
+  out["profiled_cpu_seconds"] = profiled;
   out["profiler_overhead_pct"] = profiler_overhead_pct;
   out["profiled_events"] = profiled_events;
   out["profile_kernels_compiled"] = kProfileKernels;
@@ -228,7 +246,7 @@ int main(int argc, char** argv) {
   out["bytes_down_total"] = sum.bytes_down;
   out["bytes_up_total"] = sum.bytes_up;
 
-  // Serialized-transport rep: wall-clock cost of round-tripping every
+  // Serialized-transport rep: CPU cost of round-tripping every
   // payload through the wire codecs, plus the exact bytes it measured
   // per round (identical to the in-process transport's analytical
   // accounting — asserted in tests/comm_transport_test.cpp).
@@ -237,14 +255,14 @@ int main(int argc, char** argv) {
   // included, is the exposition file at metrics_path.
   const double telemetry_overhead_pct =
       baseline > 0.0 ? 100.0 * (telemetry - baseline) / baseline : 0.0;
-  out["telemetry_seconds"] = telemetry;
+  out["telemetry_cpu_seconds"] = telemetry;
   out["telemetry_overhead_pct"] = telemetry_overhead_pct;
   out["history_bit_identical"] = history_identical;
   out["metrics_path"] = metrics_path;
 
   const double serialized_overhead_pct =
       baseline > 0.0 ? 100.0 * (serialized - baseline) / baseline : 0.0;
-  out["serialized_seconds"] = serialized;
+  out["serialized_cpu_seconds"] = serialized;
   out["serialized_overhead_pct"] = serialized_overhead_pct;
   JsonArray bytes_down_rounds;
   JsonArray bytes_up_rounds;
@@ -260,7 +278,7 @@ int main(int argc, char** argv) {
 
   std::cout << "\npool utilization "
             << TablePrinter::fmt(pool_utilization, 3) << " over "
-            << pool.size() << " threads\nbaseline " << baseline
+            << pool.size() << " threads\nCPU time: baseline " << baseline
             << "s, observers " << observed
             << "s (overhead " << TablePrinter::fmt(overhead_pct, 2)
             << "%), observers+profiler " << profiled << "s (overhead "

@@ -65,35 +65,63 @@ void BM_LogisticLossGrad(benchmark::State& state) {
 }
 BENCHMARK(BM_LogisticLossGrad)->Arg(10)->Arg(64);
 
-void BM_LstmLossGrad(benchmark::State& state) {
-  const auto seq_len = static_cast<std::size_t>(state.range(0));
+// The shakespeare_lstm workload's shape: vocab 40, 8-d trainable
+// embedding, two 16-unit layers, 40 classes, sequences of `seq_len`.
+struct LstmBench {
+  LstmClassifier model;
+  Dataset data;
+  Vector w;
+};
+
+LstmBench make_lstm_bench(std::size_t seq_len, std::size_t samples) {
   LstmConfig config;
   config.vocab_size = 40;
   config.embed_dim = 8;
-  config.hidden_dim = 24;
+  config.hidden_dim = 16;
   config.num_layers = 2;
   config.num_classes = 40;
-  LstmClassifier model(config);
+  LstmBench b{LstmClassifier(config), Dataset{}, Vector{}};
   Rng rng(4);
-  Dataset data;
-  data.tokens.resize(10);
-  data.labels.resize(10);
-  for (std::size_t i = 0; i < 10; ++i) {
-    data.tokens[i].resize(seq_len);
-    for (auto& t : data.tokens[i]) {
+  b.data.tokens.resize(samples);
+  b.data.labels.resize(samples);
+  for (std::size_t i = 0; i < samples; ++i) {
+    b.data.tokens[i].resize(seq_len);
+    for (auto& t : b.data.tokens[i]) {
       t = static_cast<std::int32_t>(rng.uniform_int(std::uint64_t{40}));
     }
-    data.labels[i] = static_cast<std::int32_t>(rng.uniform_int(std::uint64_t{40}));
+    b.data.labels[i] =
+        static_cast<std::int32_t>(rng.uniform_int(std::uint64_t{40}));
   }
-  Vector w(model.parameter_count()), grad(w.size());
-  model.init_parameters(w, rng);
+  b.w.resize(b.model.parameter_count());
+  b.model.init_parameters(b.w, rng);
+  return b;
+}
+
+// One local-solver minibatch: loss and gradient over B=10 sequences.
+void BM_LstmLossGrad(benchmark::State& state) {
+  const LstmBench b =
+      make_lstm_bench(static_cast<std::size_t>(state.range(0)), 10);
+  Vector grad(b.w.size());
   const auto batch = full_batch(10);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(model.loss_and_grad(w, data, batch, grad));
+    benchmark::DoNotOptimize(b.model.loss_and_grad(b.w, b.data, batch, grad));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 10);
 }
 BENCHMARK(BM_LstmLossGrad)->Arg(12)->Arg(25);
+
+// Evaluation: the forward pass alone over 100 sequences.
+void BM_LstmLoss(benchmark::State& state) {
+  const LstmBench b =
+      make_lstm_bench(static_cast<std::size_t>(state.range(0)), 100);
+  const auto batch = full_batch(100);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(b.model.loss(b.w, b.data, batch));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          100);
+}
+BENCHMARK(BM_LstmLoss)->Arg(12);
 
 void BM_LocalSgdEpoch(benchmark::State& state) {
   SyntheticConfig config = synthetic_config(1.0, 1.0, 5);

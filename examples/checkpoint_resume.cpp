@@ -6,7 +6,6 @@
 //
 //   ./checkpoint_resume [--rounds 40]
 
-#include <cstdio>
 #include <iostream>
 
 #include "core/registry.h"
@@ -14,6 +13,7 @@
 #include "support/cli.h"
 #include "support/csv.h"
 #include "support/serialize.h"
+#include "support/temp_dir.h"
 
 int main(int argc, char** argv) {
   using namespace fed;
@@ -21,7 +21,9 @@ int main(int argc, char** argv) {
   const auto rounds = static_cast<std::size_t>(flags.get_int("rounds", 40));
   flags.exit_on_unused();
   const std::size_t half = rounds / 2;
-  const std::string path = "/tmp/fedprox_checkpoint.bin";
+  // A directory of this run's own: concurrent runs never share the file.
+  const TempDir dir("fedprox_checkpoint");
+  const std::string path = dir.file("checkpoint.bin");
 
   const Workload w = make_workload("synthetic_1_1", /*seed=*/8);
   auto base = [&] {
@@ -71,6 +73,5 @@ int main(int argc, char** argv) {
             << "max |param difference|:     " << max_diff << "\n"
             << (max_diff == 0.0 ? "resume is bit-exact\n"
                                 : "WARNING: trajectories diverged\n");
-  std::remove(path.c_str());
   return max_diff == 0.0 ? 0 : 1;
 }

@@ -2,9 +2,10 @@
 // used by the LEAF benchmark suite (the source of the paper's real
 // datasets), re-import it, and verify training proceeds identically. To
 // run on *real* LEAF data, tokenize/flatten it into the same layout plus
-// a `<prefix>_meta.json` and point --prefix at it.
+// a `<prefix>_meta.json` and point --prefix at it. Without --prefix the
+// files go to a fresh temporary directory of this run.
 //
-//   ./leaf_interchange [--prefix /tmp/fedprox_leaf_demo]
+//   ./leaf_interchange [--prefix <dir>/leaf_demo] [--rounds 10]
 
 #include <filesystem>
 #include <iostream>
@@ -14,12 +15,13 @@
 #include "data/leaf_json.h"
 #include "data/stats.h"
 #include "support/cli.h"
+#include "support/temp_dir.h"
 
 int main(int argc, char** argv) {
   using namespace fed;
   CliFlags flags(argc, argv);
-  const std::string prefix =
-      flags.get_string("prefix", "/tmp/fedprox_leaf_demo");
+  const TempDir dir("fedprox_leaf_demo");
+  const std::string prefix = flags.get_string("prefix", dir.file("leaf_demo"));
   const auto rounds = static_cast<std::size_t>(flags.get_int("rounds", 10));
   flags.exit_on_unused();
 

@@ -12,6 +12,12 @@
 //   for each layer l: [Wx_l (4H x in_l) | Wh_l (4H x H) | b_l (4H)]
 //   [W_out (C x H) | b_out (C)]
 // Gate order inside the 4H blocks: input, forget, candidate, output.
+//
+// The batch runs through the kernels in chunks of up to four sequences of
+// equal length (lanes), with activations stored [t][feature][lane]; each
+// timestep is one gemm per weight matrix. Every output keeps the
+// reduction order of processing the sequences one at a time, so results
+// do not depend on how a batch splits into chunks (DESIGN.md §5).
 
 #pragma once
 
@@ -55,48 +61,6 @@ class LstmClassifier final : public Model {
                std::vector<std::int32_t>& out) const override;
 
  private:
-  struct LayerView {
-    ConstMatrixView wx;  // 4H x in
-    ConstMatrixView wh;  // 4H x H
-    std::span<const double> b;  // 4H
-  };
-  struct Views {
-    std::span<const double> embedding;  // vocab*embed or empty
-    std::vector<LayerView> layers;
-    ConstMatrixView w_out;
-    std::span<const double> b_out;
-  };
-  struct GradViews {
-    std::span<double> embedding;
-    std::vector<std::size_t> layer_offsets;  // offset of each layer block
-    std::span<double> all;
-    std::size_t out_offset;
-  };
-
-  // Per-timestep activations recorded by the forward pass (one layer).
-  struct LayerTrace {
-    // Each is T x H, row t = timestep t.
-    Matrix gate_i, gate_f, gate_g, gate_o, cell, hidden;
-    // T x in: the inputs this layer saw (embeddings or lower hidden).
-    Matrix input;
-    void resize(std::size_t t, std::size_t h, std::size_t in);
-  };
-
-  std::size_t layer_input_dim(std::size_t layer) const {
-    return layer == 0 ? config_.embed_dim : config_.hidden_dim;
-  }
-  std::size_t layer_param_count(std::size_t layer) const;
-  Views view(std::span<const double> w) const;
-
-  // Runs the forward pass for one token sequence; fills traces (if given)
-  // and writes the final top-layer hidden state into `final_hidden`.
-  void forward(const Views& p, std::span<const std::int32_t> seq,
-               std::vector<LayerTrace>* traces,
-               std::span<double> final_hidden) const;
-  // Embeds token `tok` into dst using either the trainable block of w or
-  // the frozen table.
-  void embed(const Views& p, std::int32_t tok, std::span<double> dst) const;
-
   LstmConfig config_;
   std::size_t param_count_ = 0;
 };

@@ -42,6 +42,14 @@ void hadamard(std::span<const double> a, std::span<const double> b,
 void zero(std::span<double> x);
 
 // ---- matrix ops -----------------------------------------------------------
+//
+// Reduction contract: every output element is one add chain over the
+// reduction index in ascending order, starting from 0 (or from the
+// output, for the _accumulate forms). So gemv's y[r] is bit for bit
+// dot(a.row(r), x), each column of gemm is the gemv of that column, and
+// gemm_transposed_accumulate equals the matching sequence of ger calls.
+// Blocking and vectorization run across outputs, never across the
+// reduction index, and the build uses no fast-math or FMA contraction.
 
 // y = A x           (A: m x n, x: n, y: m)
 void gemv(const ConstMatrixView& a, std::span<const double> x,
@@ -56,8 +64,14 @@ void gemv_accumulate(const ConstMatrixView& a, std::span<const double> x,
 void gemv_transposed_accumulate(const ConstMatrixView& a,
                                 std::span<const double> x,
                                 std::span<double> y);
-// C = A B           (A: m x k, B: k x n, C: m x n). Blocked ikj loop.
+// C = A B           (A: m x k, B: k x n, C: m x n)
 void gemm(const ConstMatrixView& a, const ConstMatrixView& b, MatrixView c);
+// C = A^T B         (A: k x m, B: k x n, C: m x n)
+void gemm_transposed(const ConstMatrixView& a, const ConstMatrixView& b,
+                     MatrixView c);
+// C += A^T B
+void gemm_transposed_accumulate(const ConstMatrixView& a,
+                                const ConstMatrixView& b, MatrixView c);
 // A += alpha * x y^T  (rank-1 update; A: m x n, x: m, y: n)
 void ger(double alpha, std::span<const double> x, std::span<const double> y,
          MatrixView a);

@@ -66,6 +66,122 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(1, false, 5),
                       std::make_tuple(2, false, 6)));
 
+// Golden bit patterns: the loss, gradient, eval loss and predictions of
+// fixed models on a fixed dataset, hashed bit for bit. Sequence lengths
+// come in runs of 1 to 6 equal lengths, so batched kernels see full and
+// partial lane groups and every change of length. Odd embed, hidden and
+// class sizes exercise the kernels' remainder paths. The expected values
+// were produced by the one-sequence-at-a-time implementation and are
+// never edited: a kernel change must reproduce it exactly.
+struct LstmGolden {
+  std::size_t layers;
+  bool trainable;
+  std::size_t batch;
+  std::uint64_t loss_and_grad;
+  std::uint64_t loss;
+  std::uint64_t predict;
+};
+
+class LstmGoldenTest : public ::testing::TestWithParam<LstmGolden> {};
+
+TEST_P(LstmGoldenTest, BitsMatchReference) {
+  const LstmGolden& g = GetParam();
+  LstmConfig config;
+  config.vocab_size = 9;
+  config.embed_dim = 3;
+  config.hidden_dim = 5;
+  config.num_layers = g.layers;
+  config.num_classes = 6;
+  config.trainable_embedding = g.trainable;
+  if (!g.trainable) {
+    config.frozen_embedding = std::make_shared<EmbeddingTable>(9, 3, 17);
+  }
+  LstmClassifier model(config);
+  constexpr std::size_t kLengths[] = {4, 4, 4, 4, 4, 4, 2, 7, 7, 1, 3, 3, 3};
+  Rng gen = make_stream(31, StreamKind::kTest, g.layers, g.trainable ? 1 : 0);
+  Dataset data;
+  for (std::size_t i = 0; i < 37; ++i) {
+    std::vector<std::int32_t> seq(kLengths[i % std::size(kLengths)]);
+    for (auto& t : seq) t = static_cast<std::int32_t>(gen.uniform_int(9));
+    data.tokens.push_back(std::move(seq));
+    data.labels.push_back(static_cast<std::int32_t>(gen.uniform_int(6)));
+  }
+  Vector w(model.parameter_count()), grad(w.size(), 7.0);
+  model.init_parameters(w, gen);
+  const auto batch = full_batch(g.batch);
+
+  const double value = model.loss_and_grad(w, data, batch, grad);
+  const std::uint64_t grad_hash =
+      testing::bit_hash(grad, testing::bit_hash(std::span(&value, 1)));
+  const double eval = model.loss(w, data, batch);
+  std::vector<std::int32_t> predicted;
+  model.predict(w, data, batch, predicted);
+  Vector classes(predicted.begin(), predicted.end());
+  EXPECT_EQ(grad_hash, g.loss_and_grad) << std::hex << grad_hash;
+  EXPECT_EQ(testing::bit_hash(std::span(&eval, 1)), g.loss)
+      << std::hex << testing::bit_hash(std::span(&eval, 1));
+  EXPECT_EQ(testing::bit_hash(classes), g.predict)
+      << std::hex << testing::bit_hash(classes);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Reference, LstmGoldenTest,
+    ::testing::Values(
+        LstmGolden{1, true, 1, 0xad6c1e1b52b556cbull, 0x197983522ffd867aull,
+                   0xa884403227e0e751ull},
+        LstmGolden{1, true, 3, 0xbe6e58e52567885cull, 0x248e299cc3422c2full,
+                   0xd685aa83ee5187dull},
+        LstmGolden{1, true, 4, 0x24c34bb2cccfbc44ull, 0x60abeaffffd44a10ull,
+                   0xf674741a1366d025ull},
+        LstmGolden{1, true, 5, 0xe6b05663cd0b7380ull, 0xcbf87b7491df0ac8ull,
+                   0xc1dc662fcdfda3dull},
+        LstmGolden{1, true, 10, 0xeaa36b0af03e8807ull, 0xee4658b8e0c95a11ull,
+                   0x229b95bafc16178dull},
+        LstmGolden{1, true, 37, 0x3adee98fe81949a8ull, 0x836744c154ae2af6ull,
+                   0x1aee8a3c54dbdabdull},
+        LstmGolden{1, false, 1, 0xfca1682376fd719eull, 0xe73d57d401c086feull,
+                   0xa8c83832281aa685ull},
+        LstmGolden{1, false, 3, 0x31e93764811780e1ull, 0xb042b98a23280f26ull,
+                   0x4d2a7d3b429cdec5ull},
+        LstmGolden{1, false, 4, 0x9723d776b5ee842aull, 0x57e5be41b65062bfull,
+                   0x60901ef99a71235dull},
+        LstmGolden{1, false, 5, 0xe2226c20a0388964ull, 0xc5c15fc6906b5dcbull,
+                   0x95e1891842a1ddbdull},
+        LstmGolden{1, false, 10, 0xfd19788c3a867736ull, 0x90a9f77cbcdcaf5eull,
+                   0xd35758f9419c5808ull},
+        LstmGolden{1, false, 37, 0x65ca723b66f6d924ull, 0x472683cc79d38617ull,
+                   0xbfc8b3c6e82e5f21ull},
+        LstmGolden{2, true, 1, 0xec647eab7aa92504ull, 0x35d5df7426aa6231ull,
+                   0xa8ad083228038d3dull},
+        LstmGolden{2, true, 3, 0xdc3d31941d775e30ull, 0xd35f0cab788417c1ull,
+                   0x52dfb54d3f7d7135ull},
+        LstmGolden{2, true, 4, 0xcc03dcc0dd9db7ccull, 0xc4737cc8caff525bull,
+                   0x21199eb532c00948ull},
+        LstmGolden{2, true, 5, 0xc0df36a865154665ull, 0x13e2ccc0bf0ae888ull,
+                   0x7bd1233487d5c818ull},
+        LstmGolden{2, true, 10, 0x664a142874e03bc7ull, 0xb47d9761ce46e23ull,
+                   0x131de6a8aea33430ull},
+        LstmGolden{2, true, 37, 0x930107b46df47238ull, 0x9502dccf642b23e0ull,
+                   0x43a6c4342f396111ull},
+        LstmGolden{2, false, 1, 0xd20636e27c796cfbull, 0x3434158e63a53182ull,
+                   0xaab1693229ba1db8ull},
+        LstmGolden{2, false, 3, 0x7b9620773d8c51caull, 0xd3c68ebfdc669c2dull,
+                   0xe2d5ae79fc4e9a70ull},
+        LstmGolden{2, false, 4, 0xf89f3249f9852e28ull, 0xe1ce0619a07e1902ull,
+                   0x93b2be02cd2882a0ull},
+        LstmGolden{2, false, 5, 0x720345780011497eull, 0xcd1dfc53b305b1bull,
+                   0x39cf23365b5aa9e0ull},
+        LstmGolden{2, false, 10, 0xc4b346344e8dbfcbull, 0xa5807bd035bd30d2ull,
+                   0x4a49511b1fdb85f8ull},
+        LstmGolden{2, false, 37, 0x3bfca53440895f07ull, 0x7d95a940d7a1b5beull,
+                   0x1bd2105b4a445c45ull}),
+    [](const ::testing::TestParamInfo<LstmGolden>& param_info) {
+      const LstmGolden& g = param_info.param;
+      return "L" + std::to_string(g.layers) +
+             (g.trainable ? "_trainable_B" : "_frozen_B") +
+             std::to_string(g.batch);
+    });
+
 TEST(LstmModel, ForgetBiasInitialized) {
   LstmConfig config = tiny_config(1, false);
   config.forget_bias = 1.0;

@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "support/rng.h"
 #include "tensor/tensor.h"
+#include "test_util.h"
 
 namespace fed {
 namespace {
@@ -116,6 +120,140 @@ TEST(MatrixOps, GemmShapeMismatchThrows) {
                     ConstMatrixView(b.storage(), 2, 2),
                     MatrixView(c.storage(), 2, 2)),
                std::invalid_argument);
+}
+
+// Golden bit patterns for the matrix kernels over every row count 1..9
+// (full and partial row blocks) and odd column counts, hashed bit for
+// bit across all shapes. About one entry in eight of A is an exact zero.
+// The expected values were produced by the one-row-at-a-time kernels
+// and are never edited: a blocked kernel must reproduce them exactly.
+Matrix golden_matrix(std::size_t rows, std::size_t cols, Rng& rng) {
+  Matrix a(rows, cols);
+  for (double& v : a.storage()) {
+    v = rng.uniform_int(std::uint64_t{8}) == 0 ? 0.0 : rng.normal();
+  }
+  return a;
+}
+
+constexpr std::size_t kGoldenCols[] = {1, 3, 7, 13};
+
+TEST(MatrixOpsGolden, GemvBits) {
+  Rng rng = make_stream(51, StreamKind::kTest);
+  std::uint64_t h = testing::bit_hash({});
+  for (std::size_t m = 1; m <= 9; ++m) {
+    for (std::size_t n : kGoldenCols) {
+      const Matrix a = golden_matrix(m, n, rng);
+      const Matrix x = golden_matrix(1, n, rng);
+      Vector y(m, -1.0);
+      gemv(ConstMatrixView(a.storage(), m, n), x.storage(), y);
+      h = testing::bit_hash(y, h);
+      gemv_accumulate(ConstMatrixView(a.storage(), m, n), x.storage(), y);
+      h = testing::bit_hash(y, h);
+    }
+  }
+  EXPECT_EQ(h, 0x94d06bfaadda0358ull) << std::hex << h;
+}
+
+TEST(MatrixOpsGolden, GemvTransposedBits) {
+  Rng rng = make_stream(52, StreamKind::kTest);
+  std::uint64_t h = testing::bit_hash({});
+  for (std::size_t m = 1; m <= 9; ++m) {
+    for (std::size_t n : kGoldenCols) {
+      const Matrix a = golden_matrix(m, n, rng);
+      const Matrix x = golden_matrix(1, m, rng);
+      Vector y(n, -1.0);
+      gemv_transposed(ConstMatrixView(a.storage(), m, n), x.storage(), y);
+      h = testing::bit_hash(y, h);
+      gemv_transposed_accumulate(ConstMatrixView(a.storage(), m, n),
+                                 x.storage(), y);
+      h = testing::bit_hash(y, h);
+    }
+  }
+  EXPECT_EQ(h, 0xabef6310320ad585ull) << std::hex << h;
+}
+
+TEST(MatrixOpsGolden, GemmBits) {
+  Rng rng = make_stream(53, StreamKind::kTest);
+  std::uint64_t h = testing::bit_hash({});
+  for (std::size_t m = 1; m <= 9; ++m) {
+    for (std::size_t k : kGoldenCols) {
+      for (std::size_t n : kGoldenCols) {
+        const Matrix a = golden_matrix(m, k, rng);
+        const Matrix b = golden_matrix(k, n, rng);
+        Matrix c(m, n, -1.0);
+        gemm(ConstMatrixView(a.storage(), m, k),
+             ConstMatrixView(b.storage(), k, n), MatrixView(c.storage(), m, n));
+        h = testing::bit_hash(c.storage(), h);
+      }
+    }
+  }
+  EXPECT_EQ(h, 0x4ecefb126556b3eull) << std::hex << h;
+}
+
+// The transposed forms are pinned to the kernels they replace: each
+// column of gemm_transposed is bit for bit gemv_transposed of that
+// column, and gemm_transposed_accumulate is bit for bit the sequence of
+// ger updates over the rows of A and B.
+TEST(MatrixOpsGolden, GemmTransposedMatchesGemvTransposedBits) {
+  Rng rng = make_stream(54, StreamKind::kTest);
+  for (std::size_t m = 1; m <= 9; ++m) {
+    for (std::size_t k : kGoldenCols) {
+      for (std::size_t n : kGoldenCols) {
+        const Matrix a = golden_matrix(k, m, rng);
+        const Matrix b = golden_matrix(k, n, rng);
+        Matrix c(m, n, -1.0);
+        gemm_transposed(ConstMatrixView(a.storage(), k, m),
+                        ConstMatrixView(b.storage(), k, n),
+                        MatrixView(c.storage(), m, n));
+        for (std::size_t j = 0; j < n; ++j) {
+          Vector column(k), expect(m);
+          for (std::size_t p = 0; p < k; ++p) column[p] = b(p, j);
+          gemv_transposed(ConstMatrixView(a.storage(), k, m), column, expect);
+          for (std::size_t i = 0; i < m; ++i) {
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(c(i, j)),
+                      std::bit_cast<std::uint64_t>(expect[i]))
+                << m << "x" << k << "x" << n << " at " << i << "," << j;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(MatrixOpsGolden, GemmTransposedAccumulateMatchesGerBits) {
+  Rng rng = make_stream(55, StreamKind::kTest);
+  for (std::size_t m = 1; m <= 9; ++m) {
+    for (std::size_t k : kGoldenCols) {
+      for (std::size_t n : kGoldenCols) {
+        const Matrix a = golden_matrix(k, m, rng);
+        const Matrix b = golden_matrix(k, n, rng);
+        const Matrix start = golden_matrix(m, n, rng);
+        Matrix c = start, expect = start;
+        gemm_transposed_accumulate(ConstMatrixView(a.storage(), k, m),
+                                   ConstMatrixView(b.storage(), k, n),
+                                   MatrixView(c.storage(), m, n));
+        for (std::size_t p = 0; p < k; ++p) {
+          ger(1.0, a.row(p), b.row(p), MatrixView(expect.storage(), m, n));
+        }
+        EXPECT_EQ(testing::bit_hash(c.storage()),
+                  testing::bit_hash(expect.storage()))
+            << m << "x" << k << "x" << n;
+      }
+    }
+  }
+}
+
+// No term is skipped for a zero factor: 0 * inf is NaN, as in dot.
+TEST(MatrixOps, GemmPropagatesZeroTimesInfinity) {
+  Matrix a(1, 2), b(2, 1);
+  a(0, 0) = 0.0;
+  a(0, 1) = 1.0;
+  b(0, 0) = std::numeric_limits<double>::infinity();
+  b(1, 0) = 2.0;
+  Matrix c(1, 1);
+  gemm(ConstMatrixView(a.storage(), 1, 2), ConstMatrixView(b.storage(), 2, 1),
+       MatrixView(c.storage(), 1, 1));
+  EXPECT_TRUE(std::isnan(c(0, 0)));
 }
 
 TEST(Nonlinearities, SigmoidBoundsAndSymmetry) {

@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <bit>
 #include <cctype>
 #include <cmath>
+#include <cstdint>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -121,6 +123,22 @@ inline Dataset make_random_dataset(std::size_t n, std::size_t dim,
     y = static_cast<std::int32_t>(rng.uniform_int(classes));
   }
   return d;
+}
+
+// FNV-1a over the raw bit patterns of `values`, chained from `seed`.
+// Golden tests pin kernel outputs with it: any change in a result's
+// rounding, sign of zero or NaN payload changes the hash.
+inline std::uint64_t bit_hash(std::span<const double> values,
+                              std::uint64_t seed = 14695981039346656037ull) {
+  std::uint64_t h = seed;
+  for (double v : values) {
+    const auto bits = std::bit_cast<std::uint64_t>(v);
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (bits >> (8 * byte)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  }
+  return h;
 }
 
 // Random token-sequence dataset.

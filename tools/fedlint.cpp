@@ -36,6 +36,13 @@
 //   raw-new               raw new/delete — ownership goes through
 //                         make_unique/containers so sanitizer and
 //                         fault-injection paths can't leak.
+//   fixed-tmp-path        a string literal naming a fixed path under
+//                         /tmp in tests/ or examples/ — ctest -j runs
+//                         cases in parallel, and two runs sharing one
+//                         path race (one's cleanup deletes the other's
+//                         files); use testing::ScopedTempDir or TempDir
+//                         (support/temp_dir.h). This rule reads string
+//                         literals; the others see code only.
 //
 // Allowlist file: one `path-prefix rule-id` pair per line (# comments),
 // paths relative to --root with forward slashes. An entry that matches
@@ -71,6 +78,8 @@ struct Rule {
   // path contains one of these directory segments.
   std::vector<std::string> dir_filter;
   std::string message;
+  // Match against string-literal contents too (comments still stripped).
+  bool reads_strings = false;
 };
 
 struct Finding {
@@ -114,15 +123,24 @@ const std::vector<Rule>& rules() {
                  {},
                  "raw new/delete; use std::make_unique / containers so "
                  "ownership survives exceptions and fault injection"});
+    r.push_back({"fixed-tmp-path",
+                 std::regex(R"("/tmp(/|"))", flags),
+                 {"tests", "examples"},
+                 "fixed /tmp path; parallel runs race on it — use "
+                 "testing::ScopedTempDir (tests) or TempDir "
+                 "(support/temp_dir.h)",
+                 /*reads_strings=*/true});
     return r;
   }();
   return kRules;
 }
 
-// Replaces comments and string/char literal *contents* with spaces,
-// preserving line structure so findings report real line numbers.
-// Handles //, /* */, "..." with escapes, '...', and R"delim(...)delim".
-std::string strip_comments_and_strings(const std::string& src) {
+// Replaces comments and (unless `keep_strings`) string/char literal
+// *contents* with spaces, preserving line structure so findings report
+// real line numbers. Handles //, /* */, "..." with escapes, '...', and
+// R"delim(...)delim".
+std::string strip_comments_and_strings(const std::string& src,
+                                       bool keep_strings) {
   std::string out = src;
   enum class State {
     kCode,
@@ -183,12 +201,14 @@ std::string strip_comments_and_strings(const std::string& src) {
         break;
       case State::kString:
         if (c == '\\' && next != '\0') {
-          out[i] = ' ';
-          if (next != '\n') out[i + 1] = ' ';
+          if (!keep_strings) {
+            out[i] = ' ';
+            if (next != '\n') out[i + 1] = ' ';
+          }
           ++i;
         } else if (c == '"') {
           state = State::kCode;
-        } else if (c != '\n') {
+        } else if (c != '\n' && !keep_strings) {
           out[i] = ' ';
         }
         break;
@@ -210,7 +230,7 @@ std::string strip_comments_and_strings(const std::string& src) {
           }
           i += raw_terminator.size() - 1;
           state = State::kCode;
-        } else if (c != '\n') {
+        } else if (c != '\n' && !keep_strings) {
           out[i] = ' ';
         }
         break;
@@ -244,16 +264,22 @@ bool is_deleted_function(const std::string& line, std::size_t match_pos,
   return false;
 }
 
+std::vector<std::string> split_lines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
 void scan_content(const std::string& rel_path, const std::string& content,
                   std::vector<Finding>& findings) {
-  const std::string stripped = strip_comments_and_strings(content);
-  std::istringstream lines(stripped);
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(lines, line)) {
-    ++line_no;
+  const auto code = split_lines(strip_comments_and_strings(content, false));
+  const auto with_strings =
+      split_lines(strip_comments_and_strings(content, true));
+  for (std::size_t i = 0; i < code.size(); ++i) {
     for (const Rule& rule : rules()) {
       if (!path_has_dir(rel_path, rule.dir_filter)) continue;
+      const std::string& line = rule.reads_strings ? with_strings[i] : code[i];
       auto begin =
           std::sregex_iterator(line.begin(), line.end(), rule.pattern);
       for (auto it = begin; it != std::sregex_iterator(); ++it) {
@@ -261,7 +287,7 @@ void scan_content(const std::string& rel_path, const std::string& content,
                                 it->str())) {
           continue;
         }
-        findings.push_back({rel_path, line_no, rule.id, it->str()});
+        findings.push_back({rel_path, i + 1, rule.id, it->str()});
         break;  // one finding per rule per line is enough
       }
     }
@@ -274,7 +300,7 @@ bool scannable_file(const fs::path& p) {
 }
 
 bool skip_dir(const std::string& name) {
-  return name.rfind("build", 0) == 0 || name == ".git" || name == "tests" ||
+  return name.rfind("build", 0) == 0 || name == ".git" ||
          name == "fedlint_fixtures" || name == "bench_out" ||
          name == ".github";
 }
@@ -395,6 +421,18 @@ int run_self_test() {
        {}},
       // A raw string holding banned tokens stays inert.
       {"src/i.cpp", "const char* r = R\"(rand() new delete)\";\n", {}},
+      {"tests/j.cpp", "const std::string p = \"/tmp/fedprox_x.bin\";\n",
+       {"fixed-tmp-path"}},
+      {"examples/k.cpp", "std::string dir = \"/tmp\";\n",
+       {"fixed-tmp-path"}},
+      // Outside tests/ and examples/, in a comment, or as a mere prefix
+      // of a longer name, /tmp is not this rule's business.
+      {"src/l.cpp", "const char* p = \"/tmp/x\";\n", {}},
+      {"tests/m.cpp", "// writes \"/tmp/x\" no more\n", {}},
+      {"tests/n.cpp", "const char* p = \"/tmpfs/x\";\n", {}},
+      {"tests/o.cpp",
+       "testing::ScopedTempDir dir;\nconst auto p = dir.file(\"x.bin\");\n",
+       {}},
       // The seeded-good snippet: deterministic idioms pass everything.
       {"src/good.cpp",
        "#include <map>\n#include <memory>\n"
@@ -454,10 +492,10 @@ int main(int argc, char** argv) {
   if (allowlist_path) allowlist = load_allowlist(*allowlist_path);
 
   std::vector<Finding> findings;
-  // Repo layout: scan the source dirs (tests/ and build*/ stay out by
+  // Repo layout: scan the source dirs (build*/ stays out by
   // construction). Arbitrary --root (fixtures): scan everything under it.
   if (fs::is_directory(root / "src")) {
-    for (const char* dir : {"src", "bench", "tools", "examples"}) {
+    for (const char* dir : {"src", "bench", "tools", "examples", "tests"}) {
       if (fs::is_directory(root / dir)) scan_tree(root / dir, root, findings);
     }
   } else {
