@@ -1,16 +1,18 @@
 // The server side of a federated round, speaking only in messages.
 //
-// run_round executes one training round of Algorithm 1/2: sample devices,
-// assign systems budgets, broadcast the global model through the
-// Transport, collect the returned updates, and aggregate them into `w` —
-// recording transport-measured bytes and per-phase wall times in the
-// RoundTrace. evaluate() runs the global evaluation (plus dissimilarity
-// when configured). The Trainer owns everything *across* rounds — the
-// mu policies, evaluation cadence, history, and observer lifecycle — and
-// drives this class once per round.
+// run_round executes one training round of Algorithm 1/2: sample devices
+// from the live population, assign systems budgets, broadcast the global
+// model through the Transport, collect the returned updates, and
+// aggregate them into `w` — recording transport-measured bytes and
+// per-phase wall times in the RoundTrace. evaluate() runs the global
+// evaluation (plus dissimilarity when configured). The Trainer owns
+// everything *across* rounds — the mu policies, evaluation cadence,
+// history, and observer lifecycle — and drives this class once per round.
 
 #pragma once
 
+#include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -25,14 +27,14 @@ namespace fed {
 class RoundDriver {
  public:
   // All references must outlive the driver; `pool` must be non-null.
-  // `registry` may be null (or inert) for the closed-world fast path;
-  // when it carries a live churn schedule, run_round drives it:
-  // begin_round before selection, end_round after the trace is filled,
-  // selection/sharding/quorum over the live population only.
+  // run_round drives `registry` (sim/churn.h): begin_round before
+  // selection, end_round after the trace is filled, selection, sharding
+  // and quorum over its live population only. A registry with a zero
+  // ChurnConfig is inert, and every device is live every round.
   RoundDriver(const Model& model, const FederatedDataset& data,
               const TrainerConfig& config, const Transport& transport,
               const ClientRuntime& runtime, ThreadPool* pool,
-              DeviceRegistry* registry,
+              DeviceRegistry& registry,
               std::span<TrainingObserver* const> observers);
 
   struct RoundOutput {
@@ -40,11 +42,13 @@ class RoundDriver {
     RoundTrace trace;
   };
 
-  // Executes training round `t` (0-based, already offset by first_round)
-  // under proximal coefficient `mu`, updating `w` in place. Fills every
-  // metric/trace field except the evaluation ones and round_seconds,
-  // which the caller charges (evaluation cadence is its call).
-  RoundOutput run_round(std::size_t t, double mu, Vector& w);
+  // Executes training round `round` (1-based, already offset by
+  // first_round; its selection, straggler and fault streams are keyed by
+  // round - 1) under proximal coefficient `mu`, updating `w` in place.
+  // Fills every metric/trace field except the evaluation ones and
+  // round_seconds, which the caller charges (evaluation cadence is its
+  // call).
+  RoundOutput run_round(std::size_t round, double mu, Vector& w);
 
   // Global evaluation + optional dissimilarity, charged to
   // trace.eval_seconds.
@@ -67,6 +71,11 @@ class RoundDriver {
     std::vector<FaultEvent> events;     // in attempt order
   };
 
+  // The p_k of the live devices, in active_devices() order. Rebuilt only
+  // when an arrival or departure has happened since the last call, so a
+  // round of an unchanging population does no O(N) work.
+  const std::vector<double>& active_weights();
+
   // Runs the exchange for one device under config_.recovery: retry failed
   // attempts (drop / corrupt / past-deadline) with simulated exponential
   // backoff, up to max_retries extra attempts. A `departing` device (it
@@ -79,15 +88,28 @@ class RoundDriver {
                                        std::size_t round, std::size_t device,
                                        bool departing) const;
 
+  // The quorum cut, on the round thread: aggregation proceeds once
+  // ceil(quorum * selected) devices have reported by simulated arrival
+  // time; successes arriving after the cutoff are revoked like any other
+  // lost update, with a kQuorumDrop event. With a faultless channel every
+  // arrival is at 0 ms, so the cutoff keeps everyone.
+  void cut_quorum(std::vector<DeviceOutcome>& outcomes,
+                  std::span<const std::size_t> selected,
+                  std::size_t round) const;
+
   const Model& model_;
   const FederatedDataset& data_;
   const TrainerConfig& config_;
   const Transport& transport_;
   const ClientRuntime& runtime_;
   ThreadPool* pool_;
-  DeviceRegistry* registry_;  // may be null: closed-world
+  DeviceRegistry& registry_;
   std::span<TrainingObserver* const> observers_;
   std::vector<double> pk_;  // client weights p_k, fixed for the run
+  std::vector<double> active_pk_;  // active_weights()' cache
+  // Arrivals + departures when active_pk_ was built; the initial value is
+  // no reachable count, so the first call (in the constructor) builds it.
+  std::uint64_t active_pk_events_ = std::numeric_limits<std::uint64_t>::max();
 };
 
 }  // namespace fed

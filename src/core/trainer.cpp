@@ -13,7 +13,6 @@
 #include "obs/profiler.h"
 #include "optim/sgd.h"
 #include "support/serialize.h"
-#include "support/stopwatch.h"
 
 namespace fed {
 
@@ -204,17 +203,16 @@ TrainHistory Trainer::run_impl(const CheckpointState* restored) {
     }
   }
 
-  // Open-world population (sim/churn.h). The departure floor is raised
-  // to devices_per_round so selection always has a full candidate set.
-  std::optional<DeviceRegistry> registry;
-  if (config_.churn.any()) {
-    ChurnConfig churn = config_.churn;
-    churn.min_active = std::max(churn.min_active, config_.devices_per_round);
-    registry.emplace(data_.num_clients(), churn, config_.seed);
-    if (restored) {
-      registry->restore(restored->active, restored->churn_arrivals,
-                        restored->churn_departures);
-    }
+  // The device population (sim/churn.h). With a zero churn config the
+  // registry is inert: every device is live every round. The departure
+  // floor is raised to devices_per_round so selection always has a full
+  // candidate set.
+  ChurnConfig churn = config_.churn;
+  churn.min_active = std::max(churn.min_active, config_.devices_per_round);
+  DeviceRegistry registry(data_.num_clients(), churn, config_.seed);
+  if (restored) {
+    registry.restore(restored->active, restored->churn_arrivals,
+                     restored->churn_departures);
   }
 
   TrainHistory history;
@@ -253,42 +251,31 @@ TrainHistory Trainer::run_impl(const CheckpointState* restored) {
         std::move(transport), config_.faults, config_.seed);
   }
   RoundDriver driver(model_, data_, config_, *transport, runtime, pool,
-                     registry ? &*registry : nullptr, observers_);
+                     registry, observers_);
 
   std::optional<CheckpointWriter> checkpoints;
   if (config_.checkpoint.enabled()) checkpoints.emplace(config_.checkpoint);
   const std::uint64_t fingerprint =
       config_fingerprint(config_, data_.num_clients(), d);
 
-  // Round 0 metrics: the initial model (the paper's plots start at w^0).
-  // A resumed run already recorded it — its history carries over whole.
-  if (!restored) {
-    Span round_span("round", "trainer", "round",
-                    static_cast<std::int64_t>(config_.first_round));
-    Stopwatch round_timer;
-    RoundMetrics m;
-    m.round = config_.first_round;
-    m.mu = mu;
-    RoundTrace trace;
-    trace.round = config_.first_round;
-    driver.evaluate(w, m, trace);
-    trace.round_seconds = round_timer.seconds();
-    history.rounds.push_back(m);
-    for (auto* o : observers_) o->on_round_end(history.rounds.back(), trace);
-    if (adaptive) mu = adaptive->update(*m.train_loss);
-    if (theory && m.dissimilarity_b) mu = theory->update(*m.dissimilarity_b);
-  }
-
-  for (std::size_t t = start_t; t < total_end; ++t) {
-    Span round_span("round", "trainer", "round",
-                    static_cast<std::int64_t>(t + 1));
-    Stopwatch round_timer;
-
-    RoundDriver::RoundOutput out = driver.run_round(t, mu, w);
-
-    const bool do_eval =
-        ((t + 1) % config_.eval_every == 0) || (t + 1 == total_end);
-    if (do_eval) driver.evaluate(w, out.metrics, out.trace);
+  // Round first_round is the initial model's record (the paper's plots
+  // start at w^0): evaluated, never trained or checkpointed. A resumed
+  // run already recorded it — its history carries over whole.
+  for (std::size_t round = restored ? start_t + 1 : config_.first_round;
+       round <= total_end; ++round) {
+    const bool initial = !restored && round == config_.first_round;
+    TimedSpan round_span("round", "trainer", "round",
+                         static_cast<std::int64_t>(round));
+    RoundDriver::RoundOutput out;
+    if (initial) {
+      out.metrics.round = out.trace.round = round;
+      out.metrics.mu = mu;
+    } else {
+      out = driver.run_round(round, mu, w);
+    }
+    if (initial || round % config_.eval_every == 0 || round == total_end) {
+      driver.evaluate(w, out.metrics, out.trace);
+    }
     history.rounds.push_back(out.metrics);
 
     // Move mu for the next round *before* the checkpoint is cut, so the
@@ -302,14 +289,13 @@ TrainHistory Trainer::run_impl(const CheckpointState* restored) {
       mu = theory->update(*out.metrics.dissimilarity_b);
     }
 
-    if (checkpoints && (t + 1) % config_.checkpoint.every == 0) {
-      Span ckpt_span("checkpoint", "trainer", "round",
-                     static_cast<std::int64_t>(t + 1));
-      Stopwatch ckpt_timer;
+    if (checkpoints && !initial && round % config_.checkpoint.every == 0) {
+      TimedSpan ckpt_span("checkpoint", "trainer", "round",
+                          static_cast<std::int64_t>(round));
       CheckpointState state;
       state.fingerprint = fingerprint;
       state.seed = config_.seed;
-      state.next_round = t + 2;  // 1-based id of the next round to execute
+      state.next_round = round + 1;  // 1-based id of the next round to run
       state.first_round = config_.first_round;
       state.mu = mu;
       if (adaptive) {
@@ -329,28 +315,20 @@ TrainHistory Trainer::run_impl(const CheckpointState* restored) {
       }
       state.parameters = w;
       state.population = data_.num_clients();
-      if (registry) {
-        state.churn_arrivals = registry->total_arrivals();
-        state.churn_departures = registry->total_departures();
-        state.active = registry->pack_active();
-      } else {
-        // Closed world: everyone is always live.
-        state.active.assign((data_.num_clients() + 7) / 8, 0);
-        for (std::size_t k = 0; k < data_.num_clients(); ++k) {
-          state.active[k / 8] |= static_cast<std::uint8_t>(1u << (k % 8));
-        }
-      }
+      state.churn_arrivals = registry.total_arrivals();
+      state.churn_departures = registry.total_departures();
+      state.active = registry.pack_active();
       state.rounds = history.rounds;
       const CheckpointWriter::WriteInfo written = checkpoints->write(state);
       out.trace.checkpoint.written = true;
-      out.trace.checkpoint.round = t + 1;
+      out.trace.checkpoint.round = round;
       out.trace.checkpoint.bytes = written.bytes;
       out.trace.checkpoint.generations = written.generations;
       out.trace.checkpoint.retain = config_.checkpoint.retain;
-      out.trace.checkpoint.write_seconds = ckpt_timer.seconds();
+      out.trace.checkpoint.write_seconds = ckpt_span.stop();
     }
 
-    out.trace.round_seconds = round_timer.seconds();
+    out.trace.round_seconds = round_span.stop();
     for (auto* o : observers_) {
       o->on_round_end(history.rounds.back(), out.trace);
     }

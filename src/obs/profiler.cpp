@@ -13,10 +13,10 @@ Profiler& Profiler::instance() {
 
 Profiler::Profiler() : epoch_(std::chrono::steady_clock::now()) {}
 
-std::uint64_t Profiler::now_us() const {
+std::uint64_t Profiler::us_at(
+    std::chrono::steady_clock::time_point time) const {
   return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - epoch_)
+      std::chrono::duration_cast<std::chrono::microseconds>(time - epoch_)
           .count());
 }
 
@@ -87,14 +87,26 @@ void Span::begin(const char* name, const char* category) {
   active_ = true;
 }
 
-void Span::finish() {
+void Span::finish_at(std::uint64_t end_us) {
   if (!active_) return;
   active_ = false;
   // Record even if the profiler was disabled mid-span, so every begun
   // span completes and drained traces never hold half-open events.
-  Profiler& profiler = Profiler::instance();
-  event_.dur_us = profiler.now_us() - event_.start_us;
-  profiler.record(event_);
+  event_.dur_us = end_us - event_.start_us;
+  Profiler::instance().record(event_);
+}
+
+TimedSpan::TimedSpan(const char* name, const char* category,
+                     const char* arg_name, std::int64_t arg_value)
+    : Span(name, category, arg_name, arg_value),
+      start_(std::chrono::steady_clock::now()) {
+  if (active_) event_.start_us = Profiler::instance().us_at(start_);
+}
+
+double TimedSpan::stop() {
+  const auto end = std::chrono::steady_clock::now();
+  if (active_) finish_at(Profiler::instance().us_at(end));
+  return std::chrono::duration<double>(end - start_).count();
 }
 
 }  // namespace fed

@@ -76,8 +76,12 @@ class Profiler {
   // whether or not recording is enabled.
   void set_thread_name(std::string name) FED_EXCLUDES(registry_mutex_);
 
-  // Microseconds since the profiler epoch (first instance() call).
-  std::uint64_t now_us() const;
+  // Microseconds since the profiler epoch (first instance() call), now
+  // or at `time`.
+  std::uint64_t now_us() const {
+    return us_at(std::chrono::steady_clock::now());
+  }
+  std::uint64_t us_at(std::chrono::steady_clock::time_point time) const;
 
   // Appends to the calling thread's buffer. Caller checks is_enabled().
   void record(const ProfileEvent& event) FED_EXCLUDES(registry_mutex_);
@@ -177,12 +181,36 @@ class Span {
 
   bool active() const { return active_; }
 
- private:
-  void begin(const char* name, const char* category);
-  void finish();
+ protected:
+  void finish_at(std::uint64_t end_us);
 
   ProfileEvent event_;
   bool active_ = false;
+
+ private:
+  void begin(const char* name, const char* category);
+  void finish() {
+    if (active_) finish_at(Profiler::instance().now_us());
+  }
+};
+
+// A span that is also its own stopwatch: it reads the clock at both ends
+// whether or not the profiler is recording, and the recorded event and
+// stop()'s seconds come from the same two reads. Every RoundTrace phase
+// is timed by one, so a phase's Chrome span and its JSONL field measure
+// one interval (they differ only by the span's whole-microsecond
+// truncation).
+class TimedSpan : public Span {
+ public:
+  TimedSpan(const char* name, const char* category, const char* arg_name,
+            std::int64_t arg_value);
+
+  // Closes the span and returns its length in seconds. Call once; a span
+  // never stopped (an exception unwound past it) closes on destruction.
+  double stop();
+
+ private:
+  std::chrono::steady_clock::time_point start_;
 };
 
 // Flow events: a directed arrow between two spans, possibly on different

@@ -96,16 +96,18 @@ struct RoundTrace {
 
   CheckpointStat checkpoint;     // durable snapshot, when the cadence fired
 
-  // Phase wall times, in seconds, measured on the round thread.
-  double sampling_seconds = 0.0;    // device selection + budget assignment
+  // Phase wall times, in seconds, measured on the round thread, each by
+  // the TimedSpan (obs/profiler.h) of its phase's profiler span.
+  double sampling_seconds = 0.0;    // churn draws, selection, budgets
   double correction_seconds = 0.0;  // FedDane gradient estimate (else 0)
   SolveStats solve;                 // per-client solve times (worker-local)
   std::vector<double> client_solve_seconds;  // the samples behind `solve`,
                                              // selection order; not in JSONL
   double solve_wall_seconds = 0.0;  // the parallel_for, as the round saw it
-  double aggregate_seconds = 0.0;   // contribution filtering + weighted sum
+  double aggregate_seconds = 0.0;   // shard plan, registers, the outcome
+                                    // fold, partial sums, root merge
   double eval_seconds = 0.0;        // global eval (+ dissimilarity); 0 if skipped
-  double round_seconds = 0.0;       // whole round, sampling through eval
+  double round_seconds = 0.0;       // whole round, through the checkpoint
 
   // Communication traffic, as measured by the round's Transport: exact
   // wire bytes (envelope + float64 payloads; support/serialize.h). A

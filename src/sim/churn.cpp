@@ -149,7 +149,6 @@ void DeviceRegistry::begin_round(std::uint64_t round) {
 
 void DeviceRegistry::end_round(std::uint64_t round) {
   (void)round;
-  if (!config_.any()) return;
   if (departing_ids_.empty()) return;
   for (std::size_t k : departing_ids_) {
     active_[k] = 0;

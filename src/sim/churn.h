@@ -1,14 +1,13 @@
 // Open-world device churn (the robustness premise of Section 2: devices
 // "may drop out" and the active population is never fixed).
 //
-// The bundled simulation is closed-world: every device in the dataset is
-// reachable every round. A DeviceRegistry lifts that assumption. Devices
-// arrive and depart on a deterministic counter-keyed schedule — one
-// Rng(seed, {kChurn, round, device}) draw per device per round, nothing
-// else — so the live population at round t is a pure function of
-// (seed, churn config, t), identical across threads, shards, and
-// transports. Sampling, shard planning, and quorum all operate on the
-// live population each round (core/round_driver).
+// A DeviceRegistry holds the live population the round driver samples
+// from. Devices arrive and depart on a deterministic counter-keyed
+// schedule — one Rng(seed, {kChurn, round, device}) draw per device per
+// round, nothing else — so the live population at round t is a pure
+// function of (seed, churn config, t), identical across threads, shards,
+// and transports. Sampling, shard planning, and quorum all operate on
+// the live population each round (core/round_driver).
 //
 // Timeline of one round t:
 //   begin_round(t)  inactive devices may arrive (selectable immediately);
@@ -21,9 +20,9 @@
 // Departures are capped so the population never falls below
 // max(min_active, 1): the cap is applied in ascending device order, so
 // the capped set is itself deterministic. With a zero ChurnConfig the
-// registry is inert — everyone active forever — and the round driver
-// takes the closed-world fast path, keeping history bit-identical to a
-// registry-free build.
+// registry is inert — every device active every round, begin_round and
+// end_round return at once — which is the closed world the trainer runs
+// by default.
 //
 // The registry is driven from the round thread only; pool workers may
 // call the const accessors during the exchange barrier (the round thread
@@ -79,8 +78,6 @@ class DeviceRegistry {
   // Sorted ids of the currently-active devices.
   const std::vector<std::size_t>& active_devices() const { return active_ids_; }
   std::size_t active_count() const { return active_ids_.size(); }
-  std::size_t population() const { return active_.size(); }
-  bool active(std::size_t device) const { return active_[device] != 0; }
   // True between begin_round and end_round for a device that leaves this
   // round. Safe to call from pool workers during the exchange barrier.
   bool departing(std::size_t device) const { return departing_[device] != 0; }
@@ -91,8 +88,6 @@ class DeviceRegistry {
   // Lifetime totals, for traces and the soak report.
   std::uint64_t total_arrivals() const { return total_arrivals_; }
   std::uint64_t total_departures() const { return total_departures_; }
-
-  const ChurnConfig& config() const { return config_; }
 
   // Checkpoint support: the full mutable state is the active bitmask plus
   // the lifetime totals (departing_ is always empty between rounds).

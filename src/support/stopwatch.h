@@ -12,7 +12,6 @@ namespace fed {
 class Stopwatch {
  public:
   Stopwatch() : start_(clock::now()) {}
-  void reset() { start_ = clock::now(); }
   double seconds() const {
     return std::chrono::duration<double>(clock::now() - start_).count();
   }

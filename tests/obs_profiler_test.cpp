@@ -16,8 +16,10 @@
 #include "data/synthetic.h"
 #include "nn/logistic.h"
 #include "obs/chrome_trace.h"
+#include "obs/observer.h"
 #include "support/json.h"
 #include "support/log.h"
+#include "test_util.h"
 
 namespace fed {
 namespace {
@@ -62,9 +64,11 @@ class ProfilerTest : public ::testing::Test {
     return c;
   }
 
-  static Profiler::Snapshot run_profiled_trainer() {
+  static Profiler::Snapshot run_profiled_trainer(
+      const TrainerConfig& c = config(), TrainingObserver* observer = nullptr) {
     LogisticRegression model(data().input_dim, data().num_classes);
-    Trainer trainer(model, data(), config());
+    Trainer trainer(model, data(), c);
+    if (observer) trainer.add_observer(*observer);
     Profiler::instance().set_thread_name("main");
     Profiler::instance().enable();
     trainer.run();
@@ -180,6 +184,58 @@ TEST_F(ProfilerTest, TrainerRunEmitsTheDocumentedSpanHierarchy) {
     EXPECT_STREQ(e.arg_names[1], "device");
   }
   EXPECT_EQ(exchange_spans, config().rounds * config().devices_per_round);
+}
+
+// Each phase span times the same interval as the RoundTrace field it
+// stands for: one clock read at each end feeds both, so they differ only
+// by the span's truncation to whole microseconds.
+TEST_F(ProfilerTest, PhaseSpansMatchTheRoundTrace) {
+  TrainerConfig c = config();
+  c.algorithm = Algorithm::kFedDane;  // adds the feddane_correction phase
+  testing::ScopedTempDir dir;
+  c.checkpoint.dir = dir.path();
+  c.checkpoint.every = 2;
+  TraceCollector collector;
+  const auto snapshot = run_profiled_trainer(c, &collector);
+
+  std::map<std::size_t, const RoundTrace*> traces;
+  for (const RoundTrace& trace : collector.traces()) {
+    traces[trace.round] = &trace;
+  }
+  const std::map<std::string, double RoundTrace::*> plain_fields = {
+      {"sampling", &RoundTrace::sampling_seconds},
+      {"feddane_correction", &RoundTrace::correction_seconds},
+      {"solve_parallel", &RoundTrace::solve_wall_seconds},
+      {"aggregate", &RoundTrace::aggregate_seconds},
+      {"eval", &RoundTrace::eval_seconds},
+      {"round", &RoundTrace::round_seconds},
+  };
+  std::map<std::string, std::size_t> matched;
+  for (const ProfileEvent& e : snapshot.events) {
+    if (e.type != ProfileEvent::Type::kComplete) continue;
+    const std::string name = e.name;
+    const auto field = plain_fields.find(name);
+    if (field == plain_fields.end() && name != "checkpoint") continue;
+    ASSERT_GE(e.num_args, 1) << name;
+    ASSERT_STREQ(e.arg_names[0], "round") << name;
+    const auto round = static_cast<std::size_t>(e.arg_values[0]);
+    ASSERT_TRUE(traces.count(round)) << name << " round " << round;
+    const RoundTrace& trace = *traces.at(round);
+    const double seconds = field != plain_fields.end()
+                               ? trace.*(field->second)
+                               : trace.checkpoint.write_seconds;
+    EXPECT_NEAR(static_cast<double>(e.dur_us), seconds * 1e6, 1.0)
+        << name << " span of round " << round;
+    ++matched[name];
+  }
+  const std::size_t rounds = c.rounds;
+  EXPECT_EQ(matched["round"], rounds + 1);  // round 0 included
+  EXPECT_EQ(matched["eval"], rounds + 1);
+  EXPECT_EQ(matched["checkpoint"], rounds / c.checkpoint.every);
+  for (const char* phase :
+       {"sampling", "feddane_correction", "solve_parallel", "aggregate"}) {
+    EXPECT_EQ(matched[phase], rounds) << phase;
+  }
 }
 
 TEST_F(ProfilerTest, CompleteEventsNestPerThread) {
